@@ -30,11 +30,10 @@ from .errors import (
     WellDefinednessViolation,
     ZeroDenominator,
 )
-from .linalg import Matrix, determinant, matrix_inverse, nullspace
+from .linalg import Matrix, nullspace
 from .poly import MultiPoly, RatFunc, factor_low_degree, poly_gcd, roots_low_degree
 from .scalars import (
     QuadraticNumber,
-    Rational,
     as_exact,
     exact_sqrt,
     format_scalar,

@@ -45,7 +45,9 @@ from .scheme import (
     feasibility_report,
     fuse,
     krein_ladder,
+    q_positions,
     scheme_params,
+    value_sequence,
 )
 
 #: The exceptional second ordering: E0, E5, E3, E2, E4, E1.
@@ -233,25 +235,13 @@ def verify_dual_consistency(cspec: CaseVSpec) -> ConsistencyReport:
                     )
                 invariance += 1
 
-    qcond = 0
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                hi = max(i, j, k)
-                rest = i + j + k - hi
-                if hi > rest:
-                    if not scalar_is_zero(tensor.q(sig(i), sig(j), sig(k))):
-                        raise ConsistencyFailure(
-                            f"(Q1) fails for the relabeled tensor at ({i},{j},{k})"
-                        )
-                    qcond += 1
-                elif hi == rest:
-                    if scalar_is_zero(tensor.q(sig(i), sig(j), sig(k))):
-                        raise ConsistencyFailure(
-                            f"(Q2) fails for the relabeled tensor at ({i},{j},{k})"
-                        )
-                    qcond += 1
-    return ConsistencyReport(pattern, invariance, qcond)
+    positions = q_positions(d)
+    for i, j, k, vanish in positions:
+        if scalar_is_zero(tensor.q(sig(i), sig(j), sig(k))) != vanish:
+            raise ConsistencyFailure(
+                f"({'Q1' if vanish else 'Q2'}) fails for the relabeled tensor at ({i},{j},{k})"
+            )
+    return ConsistencyReport(pattern, invariance, len(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +395,7 @@ def derive_section32() -> DerivationTranscript:
     )
 
     # step 5: v6*(m) from the dual value polynomials at x = m
-    vals = [RatFunc.one(), m]
-    carr = [RatFunc.one(), c2, c3, c4, m, RatFunc.one()]  # c1..c5, c6 := 1
-    aarr = [RatFunc.zero(), a2, RatFunc.zero(), a4, RatFunc.zero()]  # a1..a5 (a3=0)
-    barr = [m, m - 1, b2, b3, RatFunc.one()]  # b0..b4 (b4=1)
-    for i in range(1, 6):
-        nxt = (m * vals[i] - aarr[i - 1] * vals[i] - barr[i - 1] * vals[i - 1]) / carr[i]
-        vals.append(nxt)
+    v6 = value_sequence(spec2, m)[6]
     n5 = (
         -m * m * a4 + m * a4 * c2 - m * b3 * c4 + m * a2 * a4
         + a2 * b3 * c4 + a4 * b2 * c3 + c4 * b3 * c2
@@ -420,33 +404,25 @@ def derive_section32() -> DerivationTranscript:
     colsum2 = m ** 2 - (a2 + c2) * m - b2 * c3
     honest = m * (m - 1) * (n5 + (m - 1) * colsum2) / (c2 * c3 * c4)
     gap = m * (m - 1) ** 2 * (colsum2 - n5) / (c2 * c3 * c4)
-    if vals[6] == displayed:
-        check(
-            5,
-            "the annihilator vanishes at the eigenvalue m",
-            [("v6*(m)", vals[6], displayed)],
-            "the displayed degree-3 numerator vanishes",
-        )
-    else:
-        check(
-            5,
-            "the annihilator vanishes at the eigenvalue m",
-            [
-                ("v6*(m), exact", vals[6], honest),
-                ("deviation from the displayed form", vals[6] - displayed, gap),
-            ],
-            "the displayed reduction does not follow: v6*(m) = 0 is "
-            "equivalent (mod the column sums) to N = -(m-1) b2* b3*, "
-            "not to N = 0",
-            discrepancy=(
-                "the displayed factored numerator is not the recurrence value "
-                "of v6*(m); their difference is m(m-1)^2 "
-                "(m^2 - (a2*+c2*)m - b2*c3* - N)/(c2*c3*c4*), and the displayed "
-                "form fails on the parametric family that satisfies every "
-                "constraint established so far"
-            ),
-            verified=False,
-        )
+    check(
+        5,
+        "the annihilator vanishes at the eigenvalue m",
+        [
+            ("v6*(m), exact", v6, honest),
+            ("deviation from the displayed form", v6 - displayed, gap),
+        ],
+        "the displayed reduction does not follow: v6*(m) = 0 is "
+        "equivalent (mod the column sums) to N = -(m-1) b2* b3*, "
+        "not to N = 0",
+        discrepancy=(
+            "the displayed factored numerator is not the recurrence value "
+            "of v6*(m); their difference is m(m-1)^2 "
+            "(m^2 - (a2*+c2*)m - b2*c3* - N)/(c2*c3*c4*), and the displayed "
+            "form fails on the parametric family that satisfies every "
+            "constraint established so far"
+        ),
+        verified=False,
+    )
 
     # step 6: reduce with the step-4 equation and the column sum a2*+c2* = m-b2*
     n5_reduced = (

@@ -31,8 +31,7 @@ from .errors import (
     UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
-from .poly import MultiPoly, RatFunc
-from .scalars import QuadraticNumber, as_exact, format_scalar, scalar_to_float
+from .scalars import QuadraticNumber, as_exact, format_scalar
 from .scheme import (
     FusionPartition,
     classify_structure_pair,
@@ -51,11 +50,9 @@ EXIT_INTERNAL = 3
 
 
 def _fmt(x, approx: bool = False) -> str:
-    if isinstance(x, (RatFunc, MultiPoly)):
-        return str(x)
     s = format_scalar(x)
     if approx and not isinstance(as_exact(x), Fraction):
-        s += f" (~{scalar_to_float(x):.6g})"
+        s += f" (~{float(x):.6g})"
     return s
 
 

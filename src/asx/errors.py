@@ -76,7 +76,7 @@ class NotAScheme(AsxError):
 
 class NotPPolynomial(AsxError):
     """The first intersection matrix is not irreducible tridiagonal for the
-    given relation order, or its annihilator has degree < d + 1."""
+    given relation order."""
 
 
 class UnknownName(AsxError):

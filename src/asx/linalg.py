@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import MixedScalars, SingularMatrix
 from .poly import MultiPoly, RatFunc
-from .scalars import QuadraticNumber
+from .scalars import QuadraticNumber, format_scalar
 
 
 def scalar_is_zero(x) -> bool:
@@ -212,12 +212,7 @@ class Matrix:
         return det if sign == 1 else -det
 
     def __str__(self):
-        from .scalars import format_scalar
-
-        def fmt(x):
-            return format_scalar(x) if not isinstance(x, (RatFunc, MultiPoly)) else str(x)
-
-        cells = [[fmt(x) for x in r] for r in self.rows]
+        cells = [[format_scalar(x) for x in r] for r in self.rows]
         widths = [max(len(cells[i][j]) for i in range(self.nrows)) for j in range(self.ncols)]
         lines = [
             "[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]"
@@ -227,15 +222,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
-
-
-def matrix_inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrix when the determinant is zero."""
-    return m.inverse()
-
-
-def determinant(m: Matrix):
-    return m.determinant()
 
 
 def nullspace(m: Matrix) -> list[tuple]:

@@ -2,11 +2,14 @@
 
 Small named schemes (complete graphs, cycles, hypercubes, the Petersen
 graph) are generated as 0/1 distance relations; their intersection numbers
-are counted directly from matrix products and their eigenmatrices computed
-by exact diagonalization of the (P-polynomial ordered) first intersection
-matrix.  This module exists to cross-validate the parameter algebra in
-:mod:`asx.scheme`: the Krein tensor obtained here from first principles
-must coincide with the ladder output for the same tridiagonal data.
+are counted directly from matrix products.  The eigenmatrices come from
+the (P-polynomial ordered) first intersection matrix through the same
+eigensystem code as the Krein side, since B1 and B1* obey the same
+three-term recurrence.  This module exists to cross-validate the parameter
+algebra in :mod:`asx.scheme`: the Krein tensor obtained here from the
+counted numbers must coincide with the ladder output for the same
+tridiagonal data, and the counted p^k_ij with the two eigenmatrix formulas.
+Neither comparison target (ladder, counts) runs through the shared code.
 """
 
 from __future__ import annotations
@@ -16,8 +19,15 @@ from fractions import Fraction
 
 from .errors import InvalidParameter, NotAScheme, NotPPolynomial, UnknownName
 from .linalg import Matrix
-from .poly import MultiPoly, roots_low_degree
-from .scheme import IntersectionTensor, KreinTensor, SchemeParams, _conjugate_grouped_desc
+from .scheme import (
+    IntersectionTensor,
+    KreinTensor,
+    KreinTridiagonal,
+    SchemeParams,
+    dual_eigensystem,
+    first_eigenmatrix,
+    triple_sums,
+)
 from .scalars import as_exact
 
 
@@ -150,10 +160,12 @@ def named_scheme(name: str, parameter: int | None = None) -> RelationSet:
 def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     """Exact parameters of a scheme given by relation matrices.
 
-    The relation order must be P-polynomial (B1 irreducible tridiagonal):
-    eigenvalues come from the three-term value polynomials of B1, then
-    ``Q = n P^{-1}`` and the Krein numbers from the dual orthogonality sum.
-    Intersection numbers are counted directly and attached to the result.
+    The relation order must be P-polynomial (B1 irreducible tridiagonal).
+    B1 obeys the same three-term recurrence as a Krein matrix, so ``P`` is
+    the :func:`~asx.scheme.dual_eigensystem` of its tridiagonal data, then
+    ``Q = n P^{-1}`` and the Krein numbers come from the dual orthogonality
+    sum.  Intersection numbers are counted directly and attached to the
+    result.
     """
     rels.validate()
     n, d = rels.n, rels.d
@@ -169,36 +181,14 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     b = [b1[k + 1, k] for k in range(0, d)]
     if any(x == 0 for x in c) or any(x == 0 for x in b):
         raise NotPPolynomial("B1 is tridiagonal but not irreducible")
-    x = MultiPoly.var("x")
-    polys = [MultiPoly.one(), x]
-    for i in range(1, d + 1):
-        c_next = c[i] if i < d else Fraction(1)
-        nxt = (x * polys[i] - a[i - 1] * polys[i] - b[i - 1] * polys[i - 1]) * (
-            1 / Fraction(c_next)
-        )
-        polys.append(nxt)
-    roots = roots_low_degree(polys[d + 1])
-    if len(set(roots)) != d + 1:
-        raise NotPPolynomial("annihilator of B1 has degree < d + 1")
-    k1 = b[0]
-    if k1 not in roots:
-        raise NotAScheme("valency k1 is not an eigenvalue of B1")
-    thetas = [Fraction(k1)] + _conjugate_grouped_desc([r for r in roots if r != k1])
-    P = Matrix([[as_exact(v.eval_univariate(t)) for v in polys[: d + 1]] for t in thetas])
+    _, P = dual_eigensystem(KreinTridiagonal(d, c, a, b))
+    Q = first_eigenmatrix(P, Fraction(n))
     valencies = tuple(as_exact(v) for v in P.row(0))
-    Q = P.inverse().scale(Fraction(n))
-    mults = tuple(as_exact(Q[0, i]) for i in rng)
-    q = [[[None] * (d + 1) for _ in rng] for _ in rng]
-    for i in rng:
-        for j in rng:
-            for kk in rng:
-                s = sum(
-                    (valencies[u] * Q[u, i] * Q[u, j] * Q[u, kk] for u in rng),
-                    Fraction(0),
-                )
-                q[i][j][kk] = as_exact(s / (n * mults[kk]))
+    mults = tuple(as_exact(v) for v in Q.row(0))
+    sums = triple_sums([Q.row(u) for u in rng], valencies)
     kreins = KreinTensor(
-        [Matrix([[q[i][j][kk] for kk in rng] for j in rng]) for i in rng]
+        [Matrix([[as_exact(sums[i][j][kk] / (n * mults[kk])) for kk in rng] for j in rng])
+         for i in rng]
     )
     inters = IntersectionTensor(
         [Matrix([[p[i][j][kk] for kk in rng] for j in rng]) for i in rng]

@@ -10,13 +10,17 @@ comparison as well.
 The gcd is a primitive pseudo-remainder sequence with fast paths for
 constants, monomials and univariate inputs; the fast paths carry all the
 load in the scheme computations, where denominators are monomials in the
-tridiagonal unknowns or univariate in the multiplicity parameter.
+tridiagonal unknowns or univariate in the multiplicity parameter.  Other
+multivariate inputs try the heuristic gcd (GCDHEU) before the sequence:
+the sequence alone can take minutes on trivariate sums with dense
+denominators, where the heuristic needs milliseconds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
 from .errors import UnsupportedAlgebraicDegree
 from .scalars import exact_sqrt
@@ -412,22 +416,20 @@ def _monomial_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(vs, {e: Fraction(1)})
 
 
-def _int_primitive(coeffs: list[Fraction]) -> list[int]:
-    """Scale to a primitive integer list with positive leading coefficient."""
-    from math import gcd, lcm
-
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
+def _int_primitive(coeffs) -> tuple[int, list[int]]:
+    """Clear the denominators of rational coefficients and divide out the
+    content: ``(content, primitive integer list)``, content 0 for all zeros."""
+    coeffs = list(coeffs)
+    den = lcm(1, *(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    g = gcd(*ints)
+    return g, ([v // g for v in ints] if g > 1 else ints)
+
+
+def _primitive_poly(p: MultiPoly) -> MultiPoly:
+    """``p`` scaled to integer coefficients with content 1."""
+    _, ints = _int_primitive(p.terms.values())
+    return MultiPoly(p.vars, dict(zip(p.terms, map(Fraction, ints))))
 
 
 def _univar_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -436,23 +438,11 @@ def _univar_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     Keeps coefficients integral and content-reduced at each step, avoiding
     the blowup of naive rational Euclid.
     """
-    from math import gcd
-
     name = (f.vars or g.vars)[0]
 
     def strip(x):
         while x and x[-1] == 0:
             x.pop()
-        return x
-
-    def prim(x):
-        c = 0
-        for v in x:
-            c = gcd(c, v)
-        if c > 1:
-            x = [v // c for v in x]
-        if x and x[-1] < 0:
-            x = [-v for v in x]
         return x
 
     def prem(x, y):
@@ -469,13 +459,12 @@ def _univar_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             x.pop()
         return strip(x)
 
-    a = strip(_int_primitive(f.coeff_list()))
-    b = strip(_int_primitive(g.coeff_list()))
+    a = strip(_int_primitive(f.coeff_list())[1])
+    b = strip(_int_primitive(g.coeff_list())[1])
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = prim(prem(a, b))
-        a, b = b, r
+        a, b = b, _int_primitive(prem(a, b))[1]
     return _monic(MultiPoly.univariate(name, [Fraction(v) for v in a]))
 
 
@@ -537,22 +526,6 @@ class _HeuristicFailed(Exception):
     pass
 
 
-def _int_content_and_primitive(p: MultiPoly) -> tuple[int, dict]:
-    """Clear denominators; return (content, primitive integer term dict)."""
-    from math import gcd, lcm
-
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    ints = {e: int(c * den) for e, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {e: v // g for e, v in ints.items()}
-    return g if g else 0, ints
-
-
 def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
     """Integer-polynomial gcd by evaluation at a big point (GCDHEU).
 
@@ -561,14 +534,11 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
     value is always correct.  Raises _HeuristicFailed when the retries run
     out; callers fall back to the pseudo-remainder sequence.
     """
-    from math import gcd
-
     if f.is_zero() or g.is_zero():
         return g if f.is_zero() else f
+    content = gcd(_int_primitive(f.terms.values())[0], _int_primitive(g.terms.values())[0])
     if f.is_const() or g.is_const():
-        cf, _ = _int_content_and_primitive(f)
-        cg, _ = _int_content_and_primitive(g)
-        return MultiPoly.const(gcd(cf, cg))
+        return MultiPoly.const(content)
     if depth > 8:
         raise _HeuristicFailed
     vs = sorted(set(f.vars) | set(g.vars))
@@ -608,12 +578,9 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
                 break
             i += 1
         if ok and not h.is_zero():
-            _, prim = _int_content_and_primitive(h)
-            h = MultiPoly(h.vars, {e: Fraction(c) for e, c in prim.items()})
+            h = _primitive_poly(h)
             if poly_divides(h, f) and poly_divides(h, g):
-                cf, _ = _int_content_and_primitive(f)
-                cg, _ = _int_content_and_primitive(g)
-                return h * gcd(cf, cg)
+                return h * content
         xi = xi * 73794 // 27011
     raise _HeuristicFailed
 
@@ -656,9 +623,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _monic(fa)
     # heuristic gcd first (verified by trial division, so always sound)
     try:
-        fi = MultiPoly(fa.vars, {e: Fraction(c) for e, c in _int_content_and_primitive(fa)[1].items()})
-        gi = MultiPoly(ga.vars, {e: Fraction(c) for e, c in _int_content_and_primitive(ga)[1].items()})
-        return _monic(_gcdheu(fi, gi))
+        return _monic(_gcdheu(_primitive_poly(fa), _primitive_poly(ga)))
     except _HeuristicFailed:
         pass
     # choose the main variable with the smallest degree bound
@@ -884,18 +849,6 @@ def _divisors(n: int) -> list[int]:
     return small + big[::-1]
 
 
-def _int_coeffs(coeffs: list[Fraction]) -> list[int]:
-    """Scale a rational coefficient list to a primitive integer list."""
-    from math import gcd, lcm
-
-    denoms = lcm(*(c.denominator for c in coeffs)) if len(coeffs) > 1 else coeffs[0].denominator
-    ints = [int(c * denoms) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints] if g > 1 else ints
-
-
 def _ueval(coeffs, x):
     acc = 0
     for c in reversed(coeffs):
@@ -932,7 +885,7 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[Fracti
             roots.append(-coeffs[0] / coeffs[1])
             coeffs = [Fraction(1)]
             break
-        ints = _int_coeffs(coeffs)
+        _, ints = _int_primitive(coeffs)
         found = None
         for p in _divisors(ints[0]):
             for q in _divisors(ints[-1]):
@@ -961,7 +914,7 @@ def _kronecker_quadratic(coeffs: list[Fraction]):
     values at 0, 1, -1 (Kronecker's method, restricted to degree 2).
     Returns (monic quadratic coeffs, quotient coeffs) or None.
     """
-    ints = _int_coeffs(coeffs)
+    _, ints = _int_primitive(coeffs)
     v0, v1, vm1 = _ueval(ints, 0), _ueval(ints, 1), _ueval(ints, -1)
     for a0 in _divisors(v0):
         for s0 in (1, -1):

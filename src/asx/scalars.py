@@ -14,10 +14,6 @@ from fractions import Fraction
 
 from .errors import MixedScalars
 
-#: Exact rationals are plain stdlib fractions; they already maintain the
-#: reduced-form invariant (gcd(|num|, den) = 1, den >= 1).
-Rational = Fraction
-
 
 def square_free_split(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * f`` with ``f`` square-free; return ``(s, f)``.
@@ -315,12 +311,6 @@ def scalar_sign(x) -> int:
 def is_integer_scalar(x) -> bool:
     x = as_exact(x)
     return isinstance(x, Fraction) and x.denominator == 1
-
-
-def scalar_to_float(x) -> float:
-    if isinstance(x, QuadraticNumber):
-        return float(x)
-    return float(x)
 
 
 def format_scalar(x) -> str:

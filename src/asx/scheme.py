@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InconsistentEigenmatrices,
@@ -41,13 +42,6 @@ from .scalars import (
     is_integer_scalar,
     scalar_sign,
 )
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (RatFunc, MultiPoly)):
-        return str(x)
-    return format_scalar(x)
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -68,8 +62,7 @@ class KreinTridiagonal:
     __slots__ = ("d", "c", "a", "b")
 
     def __init__(self, d: int, c, a, b, validate: bool = True):
-        norm = lambda xs: tuple(Fraction(x) if isinstance(x, int) else x for x in xs)
-        c, a, b = norm(c), norm(a), norm(b)
+        c, a, b = (tuple(map(as_exact, xs)) for xs in (c, a, b))
         if len(c) != d or len(a) != d or len(b) != d:
             raise InvariantViolation(
                 f"need d={d} values in each of c (c1..cd), a (a1..ad), b (b0..b(d-1))"
@@ -80,7 +73,7 @@ class KreinTridiagonal:
         self.b = b
         if validate:
             if c[0] != 1:
-                raise InvariantViolation(f"c1* must be 1, got {_fmt(c[0])}")
+                raise InvariantViolation(f"c1* must be 1, got {format_scalar(c[0])}")
             for i, x in enumerate(c, start=1):
                 if scalar_is_zero(x):
                     raise InvariantViolation(f"(Q2) violated: c{i}* = 0")
@@ -116,9 +109,9 @@ class KreinTridiagonal:
 
     def __repr__(self):
         return (
-            f"KreinTridiagonal(d={self.d}, c=({', '.join(_fmt(x) for x in self.c)}), "
-            f"a=({', '.join(_fmt(x) for x in self.a)}), "
-            f"b=({', '.join(_fmt(x) for x in self.b)}))"
+            f"KreinTridiagonal(d={self.d}, c=({', '.join(format_scalar(x) for x in self.c)}), "
+            f"a=({', '.join(format_scalar(x) for x in self.a)}), "
+            f"b=({', '.join(format_scalar(x) for x in self.b)}))"
         )
 
 
@@ -335,37 +328,24 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
         ci = spec.c[i - 1]
         if scalar_is_zero(ci):
             raise ZeroDivisionError(f"c{i}* = 0")
-        if isinstance(ci, Fraction):
-            inv = 1 / ci
-        elif isinstance(ci, QuadraticNumber):
-            inv = QuadraticNumber(1) / ci
-        else:
-            inv = RatFunc.one() / ci
-        mats.append(num.scale(inv))
+        mats.append(num.scale(1 / ci))
     return KreinTensor(mats)
 
 
-def _dual_value_polys(spec: KreinTridiagonal) -> list[MultiPoly]:
-    """``v0*..v(d+1)*`` with ``x v_i = b(i-1) v(i-1) + a_i v_i + c(i+1) v(i+1)``.
+def value_sequence(spec: KreinTridiagonal, x) -> list:
+    """``v0..v(d+1)`` at ``x`` from the three-term recurrence
+    ``x v_i = b(i-1) v(i-1) + a_i v_i + c(i+1) v(i+1)`` with ``c(d+1) := 1``.
 
-    The last polynomial (with ``c(d+1)* := 1``) annihilates ``B1*``.
-    Requires rational spec scalars.
+    ``x`` may be an exact number, a RatFunc, or a MultiPoly variable (which
+    gives the value polynomials).  ``v(d+1)`` annihilates the tridiagonal
+    matrix, so its zeros are the eigenvalues.
     """
-    for arr in (spec.c, spec.a, spec.b):
-        for x in arr:
-            if not isinstance(x, (int, Fraction)):
-                raise InvariantViolation(
-                    "dual eigensystem needs rational tridiagonal entries"
-                )
-    x = MultiPoly.var("x")
-    polys = [MultiPoly.one(), x]
-    for i in range(1, spec.d + 1):
-        c_next = Fraction(spec.c[i]) if i < spec.d else Fraction(1)
-        a_i = Fraction(spec.a[i - 1])
-        b_im1 = Fraction(spec.b[i - 1])
-        nxt = (x * polys[i] - a_i * polys[i] - b_im1 * polys[i - 1]) * (1 / c_next)
-        polys.append(nxt)
-    return polys
+    d, c, a, b = spec.d, spec.c, spec.a, spec.b
+    vals = [Fraction(1), x]
+    for i in range(1, d + 1):
+        nxt = (x - a[i - 1]) * vals[i] - b[i - 1] * vals[i - 1]
+        vals.append(nxt / c[i] if i < d else nxt)
+    return vals
 
 
 def _conjugate_grouped_desc(values: list) -> list:
@@ -394,8 +374,9 @@ def dual_eigensystem(spec: KreinTridiagonal):
     v_i*(theta_j)`` with ``theta_0 = b0* (= m1)`` first and the rest in
     descending exact order, quadratic conjugates adjacent (larger first).
     """
-    polys = _dual_value_polys(spec)
-    annihilator = polys[spec.d + 1]
+    if not all(isinstance(x, Fraction) for x in spec.c + spec.a + spec.b):
+        raise InvariantViolation("dual eigensystem needs rational tridiagonal entries")
+    annihilator = value_sequence(spec, MultiPoly.var("x"))[-1]
     roots = roots_low_degree(annihilator)
     if len(set(roots)) != len(roots):
         raise RepeatedEigenvalue(f"annihilator {annihilator} has a repeated root")
@@ -408,7 +389,7 @@ def dual_eigensystem(spec: KreinTridiagonal):
         )
     rest = [r for r in roots if r != b0]
     thetas = [b0] + _conjugate_grouped_desc(rest)
-    q_rows = [[as_exact(p.eval_univariate(t)) for p in polys[: spec.d + 1]] for t in thetas]
+    q_rows = [[as_exact(v) for v in value_sequence(spec, t)[:-1]] for t in thetas]
     return tuple(thetas), Matrix(q_rows)
 
 
@@ -417,7 +398,7 @@ def first_eigenmatrix(Q: Matrix, n) -> Matrix:
     top = sum(Q.row(0), Fraction(0))
     if top != n:
         raise InvariantViolation(
-            f"n = {_fmt(n)} does not match the top-row sum {_fmt(top)} of Q"
+            f"n = {format_scalar(n)} does not match the top-row sum {format_scalar(top)} of Q"
         )
     return Q.inverse().scale(n)
 
@@ -440,6 +421,24 @@ def scheme_params(spec: KreinTridiagonal) -> SchemeParams:
     )
 
 
+def triple_sums(rows, weights) -> list:
+    """``t[i][j][k] = sum_u w_u r_u[i] r_u[j] r_u[k]`` over equal-length rows.
+
+    The weighted pair products ``w_u r_u[i] r_u[j]`` are formed once per
+    ``(i, j, u)``; every entry is a full sum (none is filled in by symmetry).
+    """
+    rng = range(len(rows[0]))
+    out = []
+    for i in rng:
+        wi = [w * r[i] for w, r in zip(weights, rows)]
+        plane = []
+        for j in rng:
+            wij = [x * r[j] for x, r in zip(wi, rows)]
+            plane.append([sum((x * r[k] for x, r in zip(wij, rows)), Fraction(0)) for k in rng])
+        out.append(plane)
+    return out
+
+
 def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     """``p^k_ij`` from the eigenmatrices, cross-checked by two formulas.
 
@@ -451,26 +450,22 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     d, n = params.d, params.n
     P, Q = params.P, params.Q
     m, k = params.multiplicities, params.valencies
-    for kk in k:
-        if scalar_is_zero(kk):
-            raise InvariantViolation("zero valency")
+    if any(scalar_is_zero(x) for x in k):
+        raise InvariantViolation("zero valency")
+    if any(scalar_is_zero(x) for x in m):
+        raise InvariantViolation("zero multiplicity")
     rng = range(d + 1)
+    primary = triple_sums([P.row(u) for u in rng], m)
+    dual = triple_sums([Q.col(u) for u in rng], [1 / (mu * mu) for mu in m])
     p = [[[None] * (d + 1) for _ in rng] for _ in rng]
     for i in rng:
         for j in rng:
             for kk in rng:
-                s1 = sum(
-                    (m[u] * P[u, i] * P[u, j] * P[u, kk] for u in rng), Fraction(0)
-                )
-                v1 = as_exact(s1 / (n * k[kk]))
-                s2 = sum(
-                    (Q[i, u] * Q[j, u] * Q[kk, u] / (m[u] * m[u]) for u in rng),
-                    Fraction(0),
-                )
-                v2 = as_exact(s2 * k[i] * k[j] / n)
+                v1 = as_exact(primary[i][j][kk] / (n * k[kk]))
+                v2 = as_exact(dual[i][j][kk] * k[i] * k[j] / n)
                 if v1 != v2:
                     raise InconsistentEigenmatrices(
-                        f"p^{kk}_{{{i},{j}}}: {_fmt(v1)} (eigen form) vs {_fmt(v2)} (dual form)"
+                        f"p^{kk}_{{{i},{j}}}: {format_scalar(v1)} (eigen form) vs {format_scalar(v2)} (dual form)"
                     )
                 p[i][j][kk] = v1
     mats = [Matrix([[p[i][j][kk] for kk in rng] for j in rng]) for i in rng]
@@ -493,6 +488,33 @@ def _is_nonneg_integer(x) -> bool:
     return is_integer_scalar(x) and scalar_sign(as_exact(x)) >= 0
 
 
+def _column_sum_check(name: str, entry, totals, sym: str, total: str) -> FeasibilityCheck:
+    """Every column of every ``B_i`` (entries ``entry(i, j, k)``) sums to ``totals[i]``."""
+    rng = range(len(totals))
+    bad = []
+    for i in rng:
+        for k in rng:
+            s = sum((entry(i, j, k) for j in rng), Fraction(0))
+            if s != totals[i]:
+                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {format_scalar(s)} != {total}_{i}")
+    return FeasibilityCheck(name, not bad, tuple(bad))
+
+
+def _krein_checks(tensor: KreinTensor, mults) -> tuple[FeasibilityCheck, FeasibilityCheck]:
+    """Krein nonnegativity (symbolic entries have no sign and are skipped)
+    and the column sums of every ``Bi*`` against ``mults``."""
+    rng = range(tensor.d + 1)
+    bad = []
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                v = tensor.q(i, j, k)
+                if not isinstance(v, (RatFunc, MultiPoly)) and scalar_sign(v) < 0:
+                    bad.append(f"q^{k}_{{{i},{j}}} = {format_scalar(v)}")
+    nonneg = FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad))
+    return nonneg, _column_sum_check("krein-column-sums", tensor.q, mults, "q", "m")
+
+
 def feasibility_report(params: SchemeParams) -> FeasibilityReport:
     """Run the standard feasibility battery; failures are report content.
 
@@ -501,28 +523,19 @@ def feasibility_report(params: SchemeParams) -> FeasibilityReport:
     identities of both tensors.  Every check always runs and every failure
     is witnessed (indices and exact value).
     """
-    d = params.d
-    rng = range(d + 1)
-    checks: list[FeasibilityCheck] = []
-
-    bad = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                v = params.kreins.q(i, j, k)
-                if scalar_sign(v) < 0:
-                    bad.append(f"q^{k}_{{{i},{j}}} = {_fmt(v)}")
-    checks.append(FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad)))
+    rng = range(params.d + 1)
+    nonneg, krein_sums = _krein_checks(params.kreins, params.multiplicities)
+    checks = [nonneg]
 
     bad = [
-        f"m_{i} = {_fmt(v)}"
+        f"m_{i} = {format_scalar(v)}"
         for i, v in enumerate(params.multiplicities)
         if not _is_positive_integer(v)
     ]
     checks.append(FeasibilityCheck("multiplicity-integrality", not bad, tuple(bad)))
 
     bad = [
-        f"k_{i} = {_fmt(v)}"
+        f"k_{i} = {format_scalar(v)}"
         for i, v in enumerate(params.valencies)
         if not _is_positive_integer(v)
     ]
@@ -553,26 +566,13 @@ def feasibility_report(params: SchemeParams) -> FeasibilityReport:
                 for k in rng:
                     v = inter.p(i, j, k)
                     if not _is_nonneg_integer(v):
-                        bad.append(f"p^{k}_{{{i},{j}}} = {_fmt(v)}")
+                        bad.append(f"p^{k}_{{{i},{j}}} = {format_scalar(v)}")
         checks.append(FeasibilityCheck("intersection-integrality", not bad, tuple(bad)))
 
-    bad = []
-    for i in rng:
-        for k in rng:
-            s = sum((params.kreins.q(i, j, k) for j in rng), Fraction(0))
-            if as_exact(s) != params.multiplicities[i]:
-                bad.append(f"sum_j q^{k}_{{{i},j}} = {_fmt(s)} != m_{i}")
-    checks.append(FeasibilityCheck("krein-column-sums", not bad, tuple(bad)))
-
+    checks.append(krein_sums)
     if inconsistency is None:
-        bad = []
-        for i in rng:
-            for k in rng:
-                s = sum((inter.p(i, j, k) for j in rng), Fraction(0))
-                if as_exact(s) != params.valencies[i]:
-                    bad.append(f"sum_j p^{k}_{{{i},j}} = {_fmt(s)} != k_{i}")
         checks.append(
-            FeasibilityCheck("intersection-column-sums", not bad, tuple(bad))
+            _column_sum_check("intersection-column-sums", inter.p, params.valencies, "p", "k")
         )
     return FeasibilityReport(tuple(checks))
 
@@ -580,25 +580,7 @@ def feasibility_report(params: SchemeParams) -> FeasibilityReport:
 def tensor_checks(tensor: KreinTensor) -> FeasibilityReport:
     """Reduced battery for a bare Krein tensor (no eigensystem needed):
     nonnegativity and self-consistent column sums."""
-    d = tensor.d
-    rng = range(d + 1)
-    mults = tensor.multiplicities()
-    bad = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                v = tensor.q(i, j, k)
-                if not isinstance(v, (RatFunc, MultiPoly)) and scalar_sign(v) < 0:
-                    bad.append(f"q^{k}_{{{i},{j}}} = {_fmt(v)}")
-    c1 = FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad))
-    bad = []
-    for i in rng:
-        for k in rng:
-            s = sum((tensor.q(i, j, k) for j in rng), Fraction(0))
-            if s != mults[i]:
-                bad.append(f"sum_j q^{k}_{{{i},j}} = {_fmt(s)} != m_{i}")
-    c2 = FeasibilityCheck("krein-column-sums", not bad, tuple(bad))
-    return FeasibilityReport((c1, c2))
+    return FeasibilityReport(_krein_checks(tensor, tensor.multiplicities()))
 
 
 # ---------------------------------------------------------------------------
@@ -606,25 +588,27 @@ def tensor_checks(tensor: KreinTensor) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache
+def q_positions(d: int) -> tuple[tuple[int, int, int, bool], ...]:
+    """The entries ``(i, j, k, must_vanish)`` that (Q1)/(Q2) constrain, in
+    index order: ``q^k_ij`` must vanish when the largest index exceeds the
+    sum of the other two (Q1), and must not vanish when it equals it (Q2)."""
+    out = []
+    for i, j, k in itertools.product(range(d + 1), repeat=3):
+        hi = max(i, j, k)
+        rest = i + j + k - hi
+        if hi >= rest:
+            out.append((i, j, k, hi > rest))
+    return tuple(out)
+
+
 def _q_conditions_hold(tensor: KreinTensor, seq: tuple[int, ...]) -> bool:
     """(Q1)/(Q2) for the relabeling ``q-hat^k_ij = q^{seq[k]}_{seq[i] seq[j]}``."""
-    d = tensor.d
     q = tensor.q
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                hi = max(i, j, k)
-                rest = i + j + k - hi
-                v = None
-                if hi > rest:  # (Q1): must vanish
-                    v = q(seq[i], seq[j], seq[k])
-                    if not scalar_is_zero(v):
-                        return False
-                elif hi == rest:  # (Q2): must not vanish
-                    v = q(seq[i], seq[j], seq[k])
-                    if scalar_is_zero(v):
-                        return False
-    return True
+    return all(
+        scalar_is_zero(q(seq[i], seq[j], seq[k])) == vanish
+        for i, j, k, vanish in q_positions(tensor.d)
+    )
 
 
 def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
@@ -756,8 +740,8 @@ def fuse(tensor: KreinTensor, multiplicities, partition: FusionPartition):
                         ref, ref_gamma = s, gamma
                     elif s != ref:
                         raise WellDefinednessViolation(
-                            f"s^{k}_{{{i},{j}}}: gamma={ref_gamma} gives {_fmt(ref)}, "
-                            f"gamma={gamma} gives {_fmt(s)}"
+                            f"s^{k}_{{{i},{j}}}: gamma={ref_gamma} gives {format_scalar(ref)}, "
+                            f"gamma={gamma} gives {format_scalar(s)}"
                         )
                 vals[i][j][k] = ref
     mats = [
@@ -779,7 +763,7 @@ def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:
         for k in range(d + 1):
             if abs(j - k) > 1 and not scalar_is_zero(b1[j, k]):
                 raise InvariantViolation(
-                    f"B1* is not tridiagonal: entry ({j},{k}) = {_fmt(b1[j, k])}"
+                    f"B1* is not tridiagonal: entry ({j},{k}) = {format_scalar(b1[j, k])}"
                 )
     c = tuple(b1[k - 1, k] for k in range(1, d + 1))
     a = tuple(b1[k, k] for k in range(1, d + 1))

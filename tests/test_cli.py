@@ -84,6 +84,25 @@ class TestCheck:
         assert code == 0
         assert "krein-column-sums" in out
 
+    def test_rational_value_written_as_quadratic_literal(self, tmp_path, capsys):
+        # 1/2*sqrt(4) is the rational 1: the pentagon, feasible as with "a: 0 1"
+        outs = []
+        for a2 in ("1", "1/2*sqrt(4)"):
+            p = tmp_path / "pentagon.params"
+            p.write_text(f"format: asx-params v1\nd: 2\nfield: Q\nc: 1 1\na: 0 {a2}\nb: 2 1\n")
+            assert run(["check", str(p)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "verdict: feasible" in outs[1]
+
+    def test_zero_multiplicity_is_an_input_error(self, tmp_path, capsys):
+        # b0* = 3 is a dual eigenvalue but m_2 = v2*(3) = 0 (columns of B1*
+        # do not all sum to 3)
+        p = tmp_path / "zero-mult.params"
+        p.write_text("format: asx-params v1\nd: 3\nfield: Q\nc: 1 3 2\na: 2 2 3\nb: 3 -2 2\n")
+        assert run(["check", str(p)]) == 2
+        assert capsys.readouterr().err == "error: zero multiplicity\n"
+
 
 class TestOrderings:
     def test_m5(self, m5_file, capsys):

@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 
 from asx.errors import MixedScalars, SingularMatrix
-from asx.linalg import Matrix, determinant, matrix_inverse, nullspace
+from asx.linalg import Matrix, nullspace
 from asx.poly import RatFunc
 from asx.scalars import QuadraticNumber
 
 
 def test_identity_inverse():
-    assert matrix_inverse(Matrix.identity(4)) == Matrix.identity(4)
+    assert Matrix.identity(4).inverse() == Matrix.identity(4)
 
 
 def test_2x2_adjugate():
     m = Matrix([[1, 2], [3, 4]])
-    assert matrix_inverse(m) == Matrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
-    assert determinant(m) == -2
+    assert m.inverse() == Matrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+    assert m.determinant() == -2
 
 
 def test_fused_eigenmatrix_inversion_at_m5():
@@ -31,7 +31,7 @@ def test_fused_eigenmatrix_inversion_at_m5():
             [1, 2, Fraction(16, 3), Fraction(-25, 3)],
         ]
     )
-    Sinv = matrix_inverse(S)
+    Sinv = S.inverse()
     assert S * Sinv == Matrix.identity(4)
     assert Sinv * S == Matrix.identity(4)
     top = (Sinv.scale(56)).row(0)
@@ -49,9 +49,9 @@ def test_random_rational_inverses():
                 for _ in range(n)
             ]
         )
-        if determinant(m) == 0:
+        if m.determinant() == 0:
             continue
-        inv = matrix_inverse(m)
+        inv = m.inverse()
         assert m * inv == Matrix.identity(n)
         assert inv * m == Matrix.identity(n)
         done += 1
@@ -59,14 +59,14 @@ def test_random_rational_inverses():
 
 def test_singular_matrix():
     with pytest.raises(SingularMatrix):
-        matrix_inverse(Matrix([[1, 2], [2, 4]]))
-    assert determinant(Matrix([[1, 2], [2, 4]])) == 0
+        Matrix([[1, 2], [2, 4]]).inverse()
+    assert Matrix([[1, 2], [2, 4]]).determinant() == 0
 
 
 def test_quadratic_entries():
     m = Matrix([[QuadraticNumber(1, 1, 2), 1], [1, 1]])
-    assert m * matrix_inverse(m) == Matrix.identity(2)
-    assert determinant(m) == QuadraticNumber(0, 1, 2)
+    assert m * m.inverse() == Matrix.identity(2)
+    assert m.determinant() == QuadraticNumber(0, 1, 2)
 
 
 def test_mixed_scalars_rejected():
@@ -81,7 +81,7 @@ def test_mixed_scalars_rejected():
 def test_ratfunc_matrix_inverse():
     m = RatFunc.var("m")
     a = Matrix([[m, 1], [1, m]])
-    assert a * matrix_inverse(a) == Matrix.identity(2)
+    assert a * a.inverse() == Matrix.identity(2)
 
 
 def test_shape_checks():

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,28 @@ class TestRatFunc:
         g = RatFunc(q, s)
         h = RatFunc(r, MultiPoly.one() + s * s)
         assert (f + g) * h == f * h + g * h
+
+    def test_distributivity_on_a_prs_hard_case(self):
+        # One draw of the property above that the pseudo-remainder sequence
+        # alone needs minutes for (coefficient swell in the trivariate gcds);
+        # the heuristic gcd answers it in milliseconds.  SIGALRM fails the
+        # test after 5 s instead of letting a lost fast path hang the suite.
+        u, v, w = MultiPoly.var("u"), MultiPoly.var("v"), MultiPoly.var("w")
+        s = -4 * v**2 * w**2 + 4 * u**2 * v
+        f = RatFunc(3 * u * v**2 * w**2 - 2 * u**2 * v * w, s)
+        g = RatFunc(-Fraction(1, 2) * u * w, s)
+        h = RatFunc(2 * u**2 * v**2 * w**2 + 3 * u * v**2 - u * v * w, 1 + s * s)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("(f+g)h == fh + gh took more than 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            assert (f + g) * h == f * h + g * h
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_subs(self):
         b4 = RatFunc.var("b4")
