@@ -856,88 +856,109 @@ def _ueval(coeffs, x):
     return acc
 
 
-def _udiv(coeffs: list[Fraction], divisor: list[Fraction]):
-    """Univariate long division; returns (quotient, remainder) lists."""
-    rem = [Fraction(c) for c in coeffs]
-    dq = len(coeffs) - len(divisor)
-    if dq < 0:
-        return [Fraction(0)], rem
-    quo = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(divisor) - 1] / divisor[-1]
-        quo[k] = c
-        if c:
-            for i, dv in enumerate(divisor):
-                rem[k + i] -= c * dv
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[int]]:
+    """Strip all rational roots (with multiplicity).
 
-
-def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Strip all rational roots (with multiplicity); return (roots, remainder)."""
+    Returns ``(roots, rest)``, ``rest`` the primitive integer model of what
+    remains.  The search runs in integers: a root p/q of the primitive
+    model f (lowest terms) has p | f(0) and q | lc(f); f(p/q) = 0 exactly
+    when the homogeneous sum sum_i a_i p^i q^(n-i) vanishes; and then f
+    deflates exactly by q x - p in Z[x], by Gauss's lemma.
+    """
+    _, f = _int_primitive(coeffs)
     roots: list[Fraction] = []
-    while coeffs[0] == 0 and len(coeffs) > 1:
+    while f[0] == 0 and len(f) > 1:
         roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-    while len(coeffs) >= 2:
-        if len(coeffs) == 2:
-            roots.append(-coeffs[0] / coeffs[1])
-            coeffs = [Fraction(1)]
-            break
-        _, ints = _int_primitive(coeffs)
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _ueval(coeffs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        f = f[1:]
+    while len(f) >= 2:
+        if len(f) == 2:
+            roots.append(Fraction(-f[0], f[1]))
+            return roots, [1]
+        qs = _divisors(f[-1])
+        found = next(
+            (
+                Fraction(num, q)
+                for p in _divisors(f[0])
+                for q in qs
+                for num in (p, -p)
+                if _homogeneous_value(f, num, q) == 0
+            ),
+            None,
+        )
         if found is None:
             break
-        while _ueval(coeffs, found) == 0 and len(coeffs) > 1:
-            quo, rem = _udiv(coeffs, [-found, Fraction(1)])
-            assert not any(rem)
+        linear = [-found.numerator, found.denominator]
+        while (h := _exact_quotient(f, linear)) is not None:
             roots.append(found)
-            coeffs = quo
-    return roots, coeffs
+            f = h
+    return roots, f
 
 
-def _kronecker_quadratic(coeffs: list[Fraction]):
-    """Find a rational quadratic factor of a poly with no rational roots.
+def _homogeneous_value(f: list[int], p: int, q: int) -> int:
+    """``q^n f(p/q)`` for the integer list ``f`` of degree n."""
+    acc, qk = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
-    Interpolates integer candidate factors through divisor triples of the
-    values at 0, 1, -1 (Kronecker's method, restricted to degree 2).
-    Returns (monic quadratic coeffs, quotient coeffs) or None.
+
+def _kronecker_quadratic(f: list[int]):
+    """Find a quadratic factor of ``f``, a primitive integer polynomial with
+    no rational roots.
+
+    Kronecker's method restricted to degree 2 (Knuth, TAOCP vol. 2, sec. 4.6.2).
+    By Gauss's lemma a rational quadratic factor scales to a primitive
+    ``g = c2 x^2 + c1 x + c0`` in Z[x] with ``c2 > 0`` and ``g | f`` in Z[x];
+    then ``g(t) | f(t)`` at every integer t, and ``f(t) != 0`` because f has
+    no rational root.  The candidates are the interpolants through divisors
+    ``d0 | f(0)``, ``d1 | f(1)``, ``dm1 | f(-1)`` of either sign, so every
+    such g is among them.  A candidate is rejected only on a condition that
+    g meets:
+
+    - ``c2 > 0``: g and -g are the same factor;
+    - ``c2 | lc(f)``, the leading coefficient of ``f = g h`` in Z[x];
+    - ``g(2) != 0``, ``g(-2) != 0``, ``g(2) | f(2)`` and ``g(-2) | f(-2)``;
+    - exact division: the quotient of f by primitive g is integral, so the
+      division stops at the first leading term that ``c2`` does not divide.
+
+    Returns ``(g, f / g)`` as integer lists, or None.
     """
-    _, ints = _int_primitive(coeffs)
-    v0, v1, vm1 = _ueval(ints, 0), _ueval(ints, 1), _ueval(ints, -1)
-    for a0 in _divisors(v0):
-        for s0 in (1, -1):
-            d0 = a0 * s0
-            for a1 in _divisors(v1):
-                for s1 in (1, -1):
-                    d1 = a1 * s1
-                    for am1 in _divisors(vm1):
-                        for sm1 in (1, -1):
-                            dm1 = am1 * sm1
-                            if (d1 + dm1) % 2:
-                                continue
-                            c2 = (d1 + dm1) // 2 - d0
-                            if c2 == 0:
-                                continue
-                            c1 = (d1 - dm1) // 2
-                            g = [Fraction(d0), Fraction(c1), Fraction(c2)]
-                            quo, rem = _udiv([Fraction(c) for c in ints], g)
-                            if not any(rem):
-                                lc = g[2]
-                                monic = [c / lc for c in g]
-                                return monic, quo
+    v2, vm2 = _ueval(f, 2), _ueval(f, -2)
+    d0s, d1s, dm1s = (
+        [s * a for a in _divisors(_ueval(f, t)) for s in (1, -1)] for t in (0, 1, -1)
+    )
+    for d0 in d0s:
+        for d1 in d1s:
+            for dm1 in dm1s:
+                if (d1 + dm1) % 2:
+                    continue
+                c2 = (d1 + dm1) // 2 - d0
+                if c2 <= 0 or f[-1] % c2:
+                    continue
+                c1 = (d1 - dm1) // 2
+                g2, gm2 = 4 * c2 + 2 * c1 + d0, 4 * c2 - 2 * c1 + d0
+                if not g2 or not gm2 or v2 % g2 or vm2 % gm2:
+                    continue
+                quo = _exact_quotient(f, [d0, c1, c2])
+                if quo is not None:
+                    return [d0, c1, c2], quo
     return None
+
+
+def _exact_quotient(f: list[int], g: list[int]):
+    """``f / g`` in Z[x], or None when g does not divide f there."""
+    rem = list(f)
+    n = len(g) - 1
+    quo = [0] * (len(f) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        qk, r = divmod(rem[k + n], g[-1])
+        if r:
+            return None
+        quo[k] = qk
+        for i in range(n):
+            rem[k + i] -= qk * g[i]
+    return None if any(rem[:n]) else quo
 
 
 def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
@@ -955,7 +976,6 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
     name = p.vars[0] if p.vars else "x"
     coeffs = p.coeff_list()
     lc = coeffs[-1]
-    coeffs = [c / lc for c in coeffs]
     roots, rest = _rational_roots(coeffs)
     factors = [MultiPoly.univariate(name, [-r, Fraction(1)]) for r in roots]
     while len(rest) - 1 >= 3:
@@ -970,13 +990,9 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
                 f"irreducible factor of degree >= 3 in {p}"
             )
         quad, rest = hit
-        factors.append(MultiPoly.univariate(name, quad))
-        # quotient from the integer model: renormalize monic
-        rest = [c / rest[-1] for c in rest]
-    if len(rest) - 1 == 2:
-        factors.append(MultiPoly.univariate(name, rest))
-    elif len(rest) - 1 == 1:
-        factors.append(MultiPoly.univariate(name, rest))
+        factors.append(_monic(MultiPoly.univariate(name, quad)))
+    if len(rest) > 1:
+        factors.append(_monic(MultiPoly.univariate(name, rest)))
     factors.sort(key=lambda f: (f.total_degree(), f.coeff_list()))
     return lc, factors
 

@@ -61,7 +61,7 @@ class KreinTridiagonal:
 
     __slots__ = ("d", "c", "a", "b")
 
-    def __init__(self, d: int, c, a, b, validate: bool = True):
+    def __init__(self, d: int, c, a, b):
         c, a, b = (tuple(map(as_exact, xs)) for xs in (c, a, b))
         if len(c) != d or len(a) != d or len(b) != d:
             raise InvariantViolation(
@@ -71,15 +71,14 @@ class KreinTridiagonal:
         self.c = c
         self.a = a
         self.b = b
-        if validate:
-            if c[0] != 1:
-                raise InvariantViolation(f"c1* must be 1, got {format_scalar(c[0])}")
-            for i, x in enumerate(c, start=1):
-                if scalar_is_zero(x):
-                    raise InvariantViolation(f"(Q2) violated: c{i}* = 0")
-            for i, x in enumerate(b):
-                if scalar_is_zero(x):
-                    raise InvariantViolation(f"(Q2) violated: b{i}* = 0")
+        if c[0] != 1:
+            raise InvariantViolation(f"c1* must be 1, got {format_scalar(c[0])}")
+        for i, x in enumerate(c, start=1):
+            if scalar_is_zero(x):
+                raise InvariantViolation(f"(Q2) violated: c{i}* = 0")
+        for i, x in enumerate(b):
+            if scalar_is_zero(x):
+                raise InvariantViolation(f"(Q2) violated: b{i}* = 0")
 
     @property
     def b0(self):
@@ -325,10 +324,7 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
         a_im1 = spec.a[i - 2]  # a_{i-1}*
         b_im2 = spec.b[i - 2]  # b_{i-2}*
         num = (b1 * prev) - prev.scale(a_im1) - prev2.scale(b_im2)
-        ci = spec.c[i - 1]
-        if scalar_is_zero(ci):
-            raise ZeroDivisionError(f"c{i}* = 0")
-        mats.append(num.scale(1 / ci))
+        mats.append(num.scale(1 / spec.c[i - 1]))
     return KreinTensor(mats)
 
 

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -102,6 +103,32 @@ class TestCheck:
         p.write_text("format: asx-params v1\nd: 3\nfield: Q\nc: 1 3 2\na: 2 2 3\nb: 3 -2 2\n")
         assert run(["check", str(p)]) == 2
         assert capsys.readouterr().err == "error: zero multiplicity\n"
+
+    def test_irreducible_sextic_annihilator_in_bounded_time(self, tmp_path, capsys):
+        # The annihilator of this d = 5 array is 1/12 times an irreducible
+        # integer sextic, so the quadratic-factor search must exhaust its
+        # candidates.  SIGALRM fails the test after 2 s.
+        p = tmp_path / "sextic.params"
+        p.write_text(
+            "format: asx-params v1\nd: 5\nfield: Q\n"
+            "c: 1 1/2 2/3 -6 -1\na: -2 0 3 3 -4\nb: -6 -5/3 -2 -4/3 -6\n"
+        )
+
+        def too_slow(signum, frame):
+            raise TimeoutError("check on an irreducible sextic took more than 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            code = run(["check", str(p)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: irreducible factor of degree >= 3 in "
+            "1/2*x^6 - 149/12*x^4 - 137/6*x^3 - 335/4*x^2 + 331/6*x - 72\n"
+        )
 
 
 class TestOrderings:

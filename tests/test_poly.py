@@ -207,6 +207,48 @@ class TestFactorLowDegree:
             lc, fs = factor_low_degree(p)
             assert _expand(lc, fs) == p
 
+    def test_agrees_with_sympy_factor_list(self):
+        # Differential check of the integer factor search against sympy on
+        # sextics with coefficients as large as the casev annihilators'
+        # (up to about 10^5 in the primitive integer model).
+        sympy = pytest.importorskip("sympy")
+        X = sympy.Symbol("x")
+        rng = random.Random(4)
+
+        def irreducible(deg, bound):
+            while True:
+                cs = [rng.randint(-bound, bound) for _ in range(deg)] + [rng.randint(1, 12)]
+                if cs[0] and sympy.Poly(cs[::-1], X).is_irreducible:
+                    return MultiPoly.univariate("x", cs)
+
+        def random_sextic():
+            cs = [rng.randint(-(10**5), 10**5) for _ in range(6)] + [rng.randint(1, 100)]
+            return MultiPoly.univariate("x", cs)
+
+        def product(*parts):
+            return _expand(Fraction(rng.choice([1, -2, 3, 7]), rng.choice([1, 2, 5])), parts)
+
+        inputs = [product(*(irreducible(2, 60) for _ in range(k))) for k in (1, 2, 3) * 6]
+        inputs += [product(irreducible(2, 60), irreducible(4, 40)) for _ in range(14)]
+        inputs += [product(irreducible(3, 40), irreducible(3, 40)) for _ in range(14)]
+        inputs += [product(random_sextic()) for _ in range(14)]
+        for p in inputs:
+            coeff, pairs = sympy.Poly(p.coeff_list()[::-1], X, domain="QQ").factor_list()
+            expected_lc = Fraction(str(coeff))
+            expected = []
+            for f, k in pairs:
+                expected_lc *= Fraction(str(f.LC())) ** k
+                monic = [Fraction(str(c)) for c in f.monic().all_coeffs()[::-1]]
+                expected += [MultiPoly.univariate("x", monic)] * k
+            expected.sort(key=lambda f: (f.total_degree(), f.coeff_list()))
+            if any(f.degree() >= 3 for f, _ in pairs):
+                with pytest.raises(UnsupportedAlgebraicDegree):
+                    factor_low_degree(p)
+                continue
+            lc, fs = factor_low_degree(p)
+            assert (lc, fs) == (expected_lc, expected)
+            assert _expand(lc, fs) == p
+
     def test_roots(self):
         p = (x * x + 4 * x + MultiPoly.const(Fraction(5, 3))) * (x - 5)
         roots = roots_low_degree(p)

@@ -1,14 +1,17 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
+from asx.casev import casev_spec
 from asx.errors import (
     InvalidPartition,
     InvariantViolation,
     RepeatedEigenvalue,
     TooManyClasses,
+    UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
 from asx.linalg import Matrix
@@ -105,6 +108,29 @@ class TestDualEigensystem:
         bad = KreinTridiagonal(1, c=[1], a=[1], b=[3])
         with pytest.raises(InvariantViolation):
             dual_eigensystem(bad)
+
+    def test_casev_family_in_bounded_time(self):
+        # The annihilator over casev_spec(m) is a sextic with coefficients up
+        # to about 10^5; only at m = 5 does it split into factors of degree
+        # <= 2.  SIGALRM fails the test after 2 s instead of letting a slow
+        # quadratic-factor search stall the suite.
+        def too_slow(signum, frame):
+            raise TimeoutError("dual_eigensystem over casev_spec(2..9) took more than 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            for mm in range(2, 10):
+                spec = casev_spec(mm).spec
+                if mm == 5:
+                    thetas, _ = dual_eigensystem(spec)
+                    assert len(thetas) == 6
+                else:
+                    with pytest.raises(UnsupportedAlgebraicDegree):
+                        dual_eigensystem(spec)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestEigenmatrices:
