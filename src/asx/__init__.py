@@ -10,6 +10,7 @@ exceptional 5-class configuration with a second Q-polynomial ordering.
 
 from .errors import (
     AsxError,
+    ComplexRoots,
     ConsistencyFailure,
     DegenerateParameter,
     InconsistentEigenmatrices,
@@ -23,7 +24,6 @@ from .errors import (
     RepeatedEigenvalue,
     SingularMatrix,
     StepFailure,
-    TooManyClasses,
     UnknownName,
     UnsupportedAlgebraicDegree,
     VerificationFailure,

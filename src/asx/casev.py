@@ -665,26 +665,6 @@ class TheoremVerdict:
         return out
 
 
-def _match_rows_up_to_permutation(got: Matrix, expected: Matrix) -> list[int] | None:
-    """Return rho with got.row(j) == expected.row(rho[j]), or None."""
-    used = set()
-    rho = []
-    for j in range(got.nrows):
-        mine = tuple(got.row(j))
-        hit = None
-        for jj in range(expected.nrows):
-            if jj in used:
-                continue
-            if all(a == b for a, b in zip(mine, expected.row(jj))):
-                hit = jj
-                break
-        if hit is None:
-            return None
-        used.add(hit)
-        rho.append(hit)
-    return rho
-
-
 def reject_case_v(search_max: int = 10000) -> TheoremVerdict:
     """Run both proof branches and report the verdict.
 
@@ -717,11 +697,14 @@ def reject_case_v(search_max: int = 10000) -> TheoremVerdict:
         if m == 5:
             if not any("72/7" in w for w in integ.witnesses):
                 raise VerificationFailure("branch A: witness 72/7 missing at m = 5")
-            rho = _match_rows_up_to_permutation(params.Q, EXPECTED_Q_M5)
-            if rho is None:
+            # rho[j] is the expected row equal to computed row j (Q rows are distinct)
+            expected_rows = list(EXPECTED_Q_M5.rows)
+            try:
+                rho = [expected_rows.index(row) for row in params.Q.rows]
+            except ValueError:
                 raise VerificationFailure(
                     "branch A: computed Q does not match the expected matrix up to row order"
-                )
+                ) from None
             rinv = [rho.index(x) for x in range(6)]
             for j in range(6):
                 for k in range(6):

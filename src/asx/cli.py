@@ -8,7 +8,9 @@ Subcommands:
 * ``casev --search-max N | --reject | --symbolic`` -- the 5-class runs
 
 Exit codes: 0 success / feasible / verified; 1 infeasible or contradiction
-where feasibility was queried; 2 input error; 3 internal verification
+where feasibility was queried, including ``check`` input that is not a
+scheme (complex or repeated dual eigenvalues); 2 input error, including a
+params file with d > 16 (see :mod:`asx.params`); 3 internal verification
 failure.  All numbers in reports are exact strings; ``--approx`` adds a
 decimal hint in text mode.
 """
@@ -23,11 +25,12 @@ from fractions import Fraction
 from . import casev
 from .errors import (
     AsxError,
+    ComplexRoots,
     InvalidParameter,
     InvalidPartition,
     InvariantViolation,
     ParseError,
-    TooManyClasses,
+    RepeatedEigenvalue,
     UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
@@ -72,18 +75,12 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _report_payload(command: str, verdict: str, report, data: dict) -> dict:
+def _report_payload(command: str, verdict: str, data: dict, checks=()) -> dict:
+    """The JSON report; ``checks`` holds ``(name, pass, witness)`` triples."""
     return {
         "command": command,
         "verdict": verdict,
-        "checks": [
-            {
-                "name": c.name,
-                "pass": c.passed,
-                "witness": "; ".join(c.witnesses) if c.witnesses else None,
-            }
-            for c in (report.checks if report else ())
-        ],
+        "checks": [{"name": n, "pass": p, "witness": w} for n, p, w in checks],
         "data": data,
     }
 
@@ -97,11 +94,12 @@ def _load_spec(path: str):
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.file)
-    if spec.d > args.max_d:
-        print(f"error: d = {spec.d} exceeds --max-d {args.max_d}", file=sys.stderr)
-        return EXIT_INPUT
     if _spec_is_rational(spec):
-        params = scheme_params(spec)
+        try:
+            params = scheme_params(spec)
+        except (ComplexRoots, RepeatedEigenvalue) as exc:
+            print(f"not a scheme: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
         report = feasibility_report(params)
         data = {
             "d": spec.d,
@@ -123,15 +121,13 @@ def _cmd_check(args) -> int:
     lines = [f"feasibility report for {args.file} (d = {spec.d})"]
     lines += ["  " + ln for ln in report.lines()]
     lines.append(f"verdict: {verdict}")
-    _emit(args, _report_payload("check", verdict, report, data), lines)
+    checks = [(c.name, c.passed, "; ".join(c.witnesses) or None) for c in report.checks]
+    _emit(args, _report_payload("check", verdict, data, checks), lines)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_orderings(args) -> int:
     spec = _load_spec(args.file)
-    if spec.d > args.max_d:
-        print(f"error: d = {spec.d} exceeds --max-d {args.max_d}", file=sys.stderr)
-        return EXIT_INPUT
     tensor = krein_ladder(spec)
     found = enumerate_q_orderings(tensor)
     rows = []
@@ -144,13 +140,8 @@ def _cmd_orderings(args) -> int:
         rows.append((str(o), kind))
     lines = [f"orderings for {args.file}: {len(rows)} found"]
     lines += [f"  {seq}  type: {kind}" for seq, kind in rows]
-    payload = {
-        "command": "orderings",
-        "verdict": f"{len(rows)} orderings",
-        "checks": [],
-        "data": {"orderings": [{"sigma": seq, "type": kind} for seq, kind in rows]},
-    }
-    _emit(args, payload, lines)
+    data = {"orderings": [{"sigma": seq, "type": kind} for seq, kind in rows]}
+    _emit(args, _report_payload("orderings", f"{len(rows)} orderings", data), lines)
     return EXIT_OK
 
 
@@ -169,73 +160,44 @@ def _cmd_fuse(args) -> int:
         lines.append(f"fused B{i}*:")
         lines += ["  " + ln for ln in str(mat).splitlines()]
         mats_data.append([[_fmt(mat[j, k]) for k in range(fused.d + 1)] for j in range(fused.d + 1)])
-    payload = {
-        "command": "fuse",
-        "verdict": "well-defined",
-        "checks": [],
-        "data": {
-            "partition": str(partition),
-            "fused_multiplicities": [_fmt(x) for x in fused_mults],
-            "fused_matrices": mats_data,
-        },
+    data = {
+        "partition": str(partition),
+        "fused_multiplicities": [_fmt(x) for x in fused_mults],
+        "fused_matrices": mats_data,
     }
-    _emit(args, payload, lines)
+    _emit(args, _report_payload("fuse", "well-defined", data), lines)
     return EXIT_OK
 
 
 def _cmd_casev(args) -> int:
     if args.search_max is not None and not (args.reject or args.symbolic):
         hits = casev.search_m(args.search_max)
-        payload = {
-            "command": "casev",
-            "verdict": "search complete",
-            "checks": [],
-            "data": {"search_max": args.search_max, "hits": hits},
-        }
-        _emit(args, payload, [" ".join(str(h) for h in hits)])
+        data = {"search_max": args.search_max, "hits": hits}
+        _emit(args, _report_payload("casev", "search complete", data), [" ".join(map(str, hits))])
         return EXIT_OK
     if args.symbolic:
-        transcript = casev.derive_section32()
-        payload = {
-            "command": "casev",
-            "verdict": "verified" if transcript.verified else "step 5 does not verify",
-            "checks": [
-                {
-                    "name": f"step {s.index}",
-                    "pass": s.verified,
-                    "witness": s.discrepancy,
-                }
-                for s in transcript.steps
-            ],
-            "data": {"steps": [s.claim for s in transcript.steps]},
+        result = transcript = casev.derive_section32()
+        verdict = "verified" if transcript.verified else "step 5 does not verify"
+        data = {"steps": [s.claim for s in transcript.steps]}
+    elif args.reject:
+        result = casev.reject_case_v(args.search_max or 10000)
+        transcript = result.branch_b
+        verdict = (
+            "nonexistence verified"
+            if result.verified
+            else "numeric branch verified; symbolic branch has a documented defect"
+        )
+        data = {
+            "search_max": result.search_max,
+            "survivors": result.survivors,
+            "rejections": {str(k): v for k, v in result.rejections.items()},
         }
-        _emit(args, payload, transcript.lines())
-        return EXIT_OK if transcript.verified else EXIT_INTERNAL
-    if args.reject:
-        verdict = casev.reject_case_v(args.search_max or 10000)
-        payload = {
-            "command": "casev",
-            "verdict": "nonexistence verified"
-            if verdict.verified
-            else "numeric branch verified; symbolic branch has a documented defect",
-            "checks": [
-                {
-                    "name": f"step {s.index}",
-                    "pass": s.verified,
-                    "witness": s.discrepancy,
-                }
-                for s in verdict.branch_b.steps
-            ],
-            "data": {
-                "search_max": verdict.search_max,
-                "survivors": verdict.survivors,
-                "rejections": {str(k): v for k, v in verdict.rejections.items()},
-            },
-        }
-        _emit(args, payload, verdict.lines())
-        return EXIT_OK if verdict.verified else EXIT_INTERNAL
-    print("error: casev needs one of --search-max, --reject, --symbolic", file=sys.stderr)
-    return EXIT_INPUT
+    else:
+        print("error: casev needs one of --search-max, --reject, --symbolic", file=sys.stderr)
+        return EXIT_INPUT
+    checks = [(f"step {s.index}", s.verified, s.discrepancy) for s in transcript.steps]
+    _emit(args, _report_payload("casev", verdict, data, checks), result.lines())
+    return EXIT_OK if result.verified else EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,11 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="feasibility battery for a params file")
     c.add_argument("file")
-    c.add_argument("--max-d", type=int, default=8, dest="max_d")
 
     o = sub.add_parser("orderings", help="second Q-polynomial orderings")
     o.add_argument("file")
-    o.add_argument("--max-d", type=int, default=8, dest="max_d")
 
     f = sub.add_parser("fuse", help="fuse idempotent classes along a partition")
     f.add_argument("file")
@@ -294,7 +254,6 @@ def run(argv) -> int:
         InvalidPartition,
         InvalidParameter,
         InvariantViolation,
-        TooManyClasses,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,6 +15,11 @@ class SingularMatrix(AsxError):
     """Matrix inversion was requested for a matrix with zero determinant."""
 
 
+class ComplexRoots(AsxError):
+    """An irreducible quadratic factor has a negative discriminant, so a
+    polynomial expected to split over the reals has complex roots."""
+
+
 class UnsupportedAlgebraicDegree(AsxError):
     """A polynomial has an irreducible factor of degree >= 3; the scalar
     tower only supports quadratic extensions of the rationals."""
@@ -33,10 +38,6 @@ class RepeatedEigenvalue(AsxError):
 
 class InconsistentEigenmatrices(AsxError):
     """The two exact formulas for the intersection numbers disagree."""
-
-
-class TooManyClasses(AsxError):
-    """Brute-force ordering enumeration is capped at d <= 8."""
 
 
 class InvalidPartition(AsxError):

@@ -13,6 +13,10 @@
 Values are exact rationals ``p/q`` or quadratic literals
 ``p/q+r/s*sqrt(D)``; no floating point anywhere.  Whitespace-insensitive,
 ``#`` starts a comment.
+
+``d`` must lie in 1..MAX_D (16).  Every command that reads a file runs
+the Krein ladder, which is O(d^4), and ``check`` also factors the
+annihilator; the bound keeps the work of any accepted file small.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from fractions import Fraction
 from .errors import ParseError, ZeroDenominator
 from .scalars import QuadraticNumber, as_exact, format_scalar
 from .scheme import KreinTridiagonal
+
+MAX_D = 16
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _QUAD_RE = re.compile(
@@ -66,8 +72,8 @@ def parse_scalar(text: str, line: int = 0, col: int = 0):
 def parse_params_file(text: str) -> KreinTridiagonal:
     """Parse an asx-params document into a tridiagonal spec.
 
-    Raises ParseError/ZeroDenominator with position info on bad syntax and
-    InvariantViolation when the parsed arrays violate the (Q2) nonzero
+    Raises ParseError/ZeroDenominator with position info on bad syntax or
+    ``d`` outside 1..MAX_D, and InvariantViolation when the parsed arrays violate the (Q2) nonzero
     requirements or c1* != 1.
     """
     fields: dict[str, tuple[str, int, int]] = {}
@@ -99,6 +105,8 @@ def parse_params_file(text: str) -> KreinTridiagonal:
         raise ParseError(f"d must be an integer, got {dtext!r}", lineno, col)
     if d < 1:
         raise ParseError(f"d must be >= 1, got {d}", lineno, col)
+    if d > MAX_D:
+        raise ParseError(f"d must be <= {MAX_D}, got {d}", lineno, col)
 
     ftext, lineno, col = need("field")
     radicand = None

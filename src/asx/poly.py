@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .errors import UnsupportedAlgebraicDegree
+from .errors import ComplexRoots, UnsupportedAlgebraicDegree
 from .scalars import exact_sqrt
 
 Coeff = Fraction
@@ -1000,9 +1000,9 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
 def roots_low_degree(p: MultiPoly) -> list:
     """All real roots of a univariate rational polynomial, with multiplicity.
 
-    Roots are Fractions or QuadraticNumbers.  Raises ValueError when an
-    irreducible quadratic factor has a negative discriminant (complex roots),
-    and UnsupportedAlgebraicDegree past quadratic extensions.
+    Roots are Fractions or QuadraticNumbers.  Raises ComplexRoots when an
+    irreducible quadratic factor has a negative discriminant, and
+    UnsupportedAlgebraicDegree past quadratic extensions.
     """
     _, factors = factor_low_degree(p)
     out = []
@@ -1014,7 +1014,7 @@ def roots_low_degree(p: MultiPoly) -> list:
             b, c = cs[1], cs[0]
             disc = b * b - 4 * c
             if disc < 0:
-                raise ValueError(f"complex roots in factor {f}")
+                raise ComplexRoots(f"complex roots in factor {f}")
             s = exact_sqrt(disc)
             out.append((-b + s) / 2)
             out.append((-b - s) / 2)

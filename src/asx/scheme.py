@@ -30,7 +30,6 @@ from .errors import (
     InvalidPartition,
     InvariantViolation,
     RepeatedEigenvalue,
-    TooManyClasses,
     WellDefinednessViolation,
 )
 from .linalg import Matrix, scalar_is_zero
@@ -610,16 +609,30 @@ def _q_conditions_hold(tensor: KreinTensor, seq: tuple[int, ...]) -> bool:
 def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
     """All orderings (sigma(0)=0) whose relabeled tensor satisfies (Q1)/(Q2).
 
-    Brute force over d! candidates; capped at d <= 8.
+    In a Q-polynomial ordering E0, E_s1, ..., E_sd the product
+    E_s1 o E_sj lies in the span of E_s(j-1), E_sj and E_s(j+1), with a
+    nonzero E_s(j+1) coefficient (Bannai-Ito; BCN 2.7).  So s1 forces the
+    rest: the next index is the only unused k with q^k_{s1, seq[-1]} != 0,
+    and a sequence stops when there is no such k or more than one.  Each of
+    the at most d full sequences is then checked against (Q1)/(Q2), which
+    makes O(d^4) work in all and no bound on d.  The result is sorted,
+    because sigma(1) = s1 increases.
     """
-    if tensor.d > 8:
-        raise TooManyClasses(f"d = {tensor.d} > 8")
+    d, q = tensor.d, tensor.q
     found = []
-    for tail in itertools.permutations(range(1, tensor.d + 1)):
-        seq = (0,) + tail
-        if _q_conditions_hold(tensor, seq):
-            found.append(Ordering(seq))
-    found.sort(key=lambda o: o.sigma)
+    for s1 in range(1, d + 1):
+        seq = [0, s1]
+        while len(seq) <= d:
+            nxt = [
+                k
+                for k in range(1, d + 1)
+                if k not in seq and not scalar_is_zero(q(s1, seq[-1], k))
+            ]
+            if len(nxt) != 1:
+                break
+            seq.append(nxt[0])
+        if len(seq) == d + 1 and _q_conditions_hold(tensor, tuple(seq)):
+            found.append(Ordering(tuple(seq)))
     return found
 
 

@@ -71,8 +71,38 @@ class TestCheck:
         p.write_text(M5.replace("c: 1 2 5/3 4/3 5", "c: 1 0 5/3 4/3 5"))
         assert run(["check", str(p)]) == 2
 
-    def test_max_d_guard(self, m5_file, capsys):
-        assert run(["check", m5_file, "--max-d", "4"]) == 2
+    def test_d_above_16_is_an_input_error(self, tmp_path, capsys):
+        # the 17-cube: a valid array, but past the parser's bound on d
+        d = 17
+        p = tmp_path / "h17.params"
+        p.write_text(
+            f"format: asx-params v1\nd: {d}\nfield: Q\n"
+            f"c: {' '.join(str(i) for i in range(1, d + 1))}\n"
+            f"a: {' '.join(['0'] * d)}\n"
+            f"b: {' '.join(str(d - i) for i in range(d))}\n"
+        )
+        partition = "0|" + "|".join(str(i) for i in range(1, d + 1))
+        for argv in (["check"], ["orderings"], ["fuse", "--partition", partition]):
+            assert run([argv[0], str(p)] + argv[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: line 2, col 3: d must be <= 16, got 17\n"
+
+    @pytest.mark.parametrize(
+        "name, a, b, message",
+        [
+            ("complex", "1", "-2", "complex roots in factor x^2 - x + 2"),
+            ("repeated", "2", "-1", "annihilator x^2 - 2*x + 1 has a repeated root"),
+        ],
+    )
+    def test_not_a_scheme(self, tmp_path, capsys, name, a, b, message):
+        p = tmp_path / f"{name}.params"
+        p.write_text(f"format: asx-params v1\nd: 1\nfield: Q\nc: 1\na: {a}\nb: {b}\n")
+        for report in ("text", "json"):
+            assert run(["--report", report, "check", str(p)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"not a scheme: {message}\n"
 
     def test_quadratic_field_file_runs_tensor_checks(self, tmp_path, capsys):
         p = tmp_path / "quad.params"

@@ -1,13 +1,16 @@
-"""Golden outputs: the six README invocations, byte for byte.
+"""Golden outputs: the six README invocations and the four demo scripts,
+byte for byte.
 
-Each case runs ``asx`` in-process from the repository root, in both report
-formats, and compares stdout and the exit code with the files under
+Each CLI case runs ``asx`` in-process from the repository root, in both
+report formats, and compares stdout and the exit code with the files under
 ``tests/golden/``.  The exit codes are part of the contract: ``check`` on the
 m = 5 candidate is infeasible (1), and ``casev --reject`` and
 ``casev --symbolic`` end in 3 because step 5 of the symbolic branch does not
-verify.
+verify.  Each demo script runs in-process as ``__main__`` and its stdout is
+compared with ``tests/golden/<script>.stdout``.
 """
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -33,4 +36,15 @@ def test_readme_invocation(name, argv, code, report, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert run(["--report", report] + argv) == code
     expected = (GOLDEN / f"{name}.{report}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+DEMOS = ["demo_fusion", "demo_nonexistence", "demo_oracles", "demo_symbolic"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_script(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    runpy.run_path(str(ROOT / "demos" / f"{name}.py"), run_name="__main__")
+    expected = (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asx.errors import UnsupportedAlgebraicDegree
+from asx.errors import ComplexRoots, UnsupportedAlgebraicDegree
 from asx.poly import (
     MultiPoly,
     RatFunc,
@@ -255,5 +255,5 @@ class TestFactorLowDegree:
         assert Fraction(5) in roots
         assert QuadraticNumber(-2, Fraction(1, 3), 21) in roots
         assert QuadraticNumber(-2, Fraction(-1, 3), 21) in roots
-        with pytest.raises(ValueError):
+        with pytest.raises(ComplexRoots):
             roots_low_degree(x * x + 1)

@@ -10,7 +10,6 @@ from asx.errors import (
     InvalidPartition,
     InvariantViolation,
     RepeatedEigenvalue,
-    TooManyClasses,
     UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
@@ -39,6 +38,18 @@ from asx.scheme import (
 K4 = KreinTridiagonal(1, c=[1], a=[2], b=[3])
 C5 = KreinTridiagonal(2, c=[1, 1], a=[0, 1], b=[2, 1])
 CUBE = KreinTridiagonal(3, c=[1, 2, 3], a=[0, 0, 0], b=[3, 2, 1])
+
+
+def hamming(d: int, q: int) -> KreinTridiagonal:
+    """H(d, q) is self-dual: its Krein array is its intersection array."""
+    return KreinTridiagonal(
+        d,
+        c=list(range(1, d + 1)),
+        a=[i * (q - 2) for i in range(1, d + 1)],
+        b=[(d - i) * (q - 1) for i in range(d)],
+    )
+
+
 CASEV5 = KreinTridiagonal(
     5,
     c=[1, 2, Fraction(5, 3), Fraction(4, 3), 5],
@@ -236,10 +247,49 @@ class TestOrderings:
             (0, 2, 1),
         ]
 
-    def test_too_many_classes(self):
-        mats = [Matrix.identity(10)] * 10
-        with pytest.raises(TooManyClasses):
-            enumerate_q_orderings(KreinTensor(mats))
+    @staticmethod
+    def _scan(tensor):
+        """Reference: every permutation with sigma(0) = 0, checked against
+        (Q1)/(Q2) written out from the definition."""
+        d, q = tensor.d, tensor.q
+        rng = range(d + 1)
+        found = []
+        for tail in itertools.permutations(range(1, d + 1)):
+            s = (0,) + tail
+            if all(
+                (q(s[i], s[j], s[k]) == 0) == (2 * max(i, j, k) > i + j + k)
+                for i, j, k in itertools.product(rng, repeat=3)
+                if 2 * max(i, j, k) >= i + j + k
+            ):
+                found.append(s)
+        return found
+
+    @pytest.mark.parametrize(
+        "spec",
+        [hamming(d, q) for d in range(2, 7) for q in range(2, 6)]
+        + [hamming(7, 2), hamming(7, 3)]
+        + [casev_spec(m).spec for m in (2, 3, 5, 7, 11)]
+        + [C5],
+        ids=[f"H({d},{q})" for d in range(2, 7) for q in range(2, 6)]
+        + ["H(7,2)", "H(7,3)"]
+        + [f"casev-m{m}" for m in (2, 3, 5, 7, 11)]
+        + ["pentagon"],
+    )
+    def test_agrees_with_the_permutation_scan(self, spec):
+        tensor = krein_ladder(spec)
+        assert [o.sigma for o in enumerate_q_orderings(tensor)] == self._scan(tensor)
+
+    def test_hypercubes_d9_to_d16(self):
+        # Past the old d <= 8 cap: the d-cube keeps only the identity for
+        # odd d; for even d it also has sigma(i) = i (i even), d - i (i odd)
+        for d in range(9, 17):
+            found = [o.sigma for o in enumerate_q_orderings(krein_ladder(hamming(d, 2)))]
+            identity = tuple(range(d + 1))
+            if d % 2:
+                assert found == [identity]
+            else:
+                second = tuple(i if i % 2 == 0 else d - i for i in range(d + 1))
+                assert found == [identity, second]
 
 
 class TestClassification:
