@@ -34,7 +34,6 @@ from .linalg import Matrix, nullspace
 from .poly import MultiPoly, RatFunc, factor_low_degree, poly_gcd, roots_low_degree
 from .scalars import (
     QuadraticNumber,
-    as_exact,
     exact_sqrt,
     format_scalar,
     scalar_sign,

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .linalg import Matrix, nullspace, scalar_is_zero
 from .poly import RatFunc
-from .scalars import QuadraticNumber, as_exact, exact_sqrt, format_scalar, is_integer_scalar
+from .scalars import QuadraticNumber, exact_sqrt, format_scalar, is_integer_scalar
 from .scheme import (
     FusionPartition,
     KreinTridiagonal,
@@ -132,8 +132,8 @@ def expected_fused_eigenmatrix(m: Fraction) -> Matrix:
         [
             [1, 2 * m, 4 * m, m * m],
             [1, 2, -4, 1],
-            [as_exact(x) for x in row2],
-            [as_exact(x) for x in row3],
+            row2,
+            row3,
         ]
     )
 
@@ -192,10 +192,6 @@ class ConsistencyReport:
     zero_pattern_checks: int
     invariance_checks: int
     q_condition_checks: int
-
-    @property
-    def total(self) -> int:
-        return self.zero_pattern_checks + self.invariance_checks + self.q_condition_checks
 
 
 def verify_dual_consistency(cspec: CaseVSpec) -> ConsistencyReport:
@@ -503,7 +499,7 @@ def _fused_eigenmatrix_by_eigenvectors(c1: Matrix) -> Matrix:
     roots = roots_low_degree(char.num)
     if len(set(roots)) != len(roots):
         raise RepeatedEigenvalue("fused Krein matrix has a repeated eigenvalue")
-    colsum = as_exact(sum((c1[i, 0] for i in range(e + 1)), Fraction(0)))
+    colsum = sum((c1[i, 0] for i in range(e + 1)), Fraction(0))
     rows = []
     for theta in roots:
         shifted = Matrix(
@@ -518,7 +514,7 @@ def _fused_eigenmatrix_by_eigenvectors(c1: Matrix) -> Matrix:
         vec = basis[0]
         if scalar_is_zero(vec[0]):
             raise VerificationFailure("eigenvector with vanishing leading coordinate")
-        rows.append((theta, tuple(as_exact(v / vec[0]) for v in vec)))
+        rows.append((theta, tuple(v / vec[0] for v in vec)))
     # principal row (eigenvalue = the constant column sum of C1*) first;
     # the caller reorders the rest by valency
     rows.sort(key=lambda tr: 0 if tr[0] == colsum else 1)
@@ -535,10 +531,7 @@ def _fused_eigenmatrix_by_signatures(Q: Matrix, partition: FusionPartition) -> M
     """
     sigs = []
     for j in range(Q.nrows):
-        sig = tuple(
-            as_exact(sum((Q[j, i] for i in block), Fraction(0)))
-            for block in partition.blocks
-        )
+        sig = tuple(sum((Q[j, i] for i in block), Fraction(0)) for block in partition.blocks)
         if sig not in sigs:
             sigs.append(sig)
     if len(sigs) != partition.e + 1:
@@ -573,7 +566,7 @@ def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
         params = scheme_params(cspec.spec)
         S = _fused_eigenmatrix_by_signatures(params.Q, CASE_V_PARTITION)
     P_y = S.inverse().scale(n_y)
-    valencies = tuple(as_exact(v) for v in P_y.row(0))
+    valencies = P_y.row(0)
     # deterministic class order: identity class, then valency descending
     order = [0] + sorted(
         range(1, 4),
@@ -588,7 +581,7 @@ def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
     delta_sq = (mval * mval - 2 * mval + 9) * (9 * mval * mval - 2 * mval + 1)
     delta = exact_sqrt(delta_sq)
     radicand = delta.radicand if isinstance(delta, QuadraticNumber) else None
-    integral = all(is_integer_scalar(v) and as_exact(v) > 0 for v in valencies)
+    integral = all(is_integer_scalar(v) and v > 0 for v in valencies)
     expected = expected_fused_eigenmatrix(mval)
     matches = sorted(map(tuple, S.rows), key=str) == sorted(map(tuple, expected.rows), key=str)
     return CaseVFusionResult(

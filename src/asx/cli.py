@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
-from .scalars import QuadraticNumber, as_exact, format_scalar
+from .scalars import QuadraticNumber, format_scalar
 from .scheme import (
     FusionPartition,
     classify_structure_pair,
@@ -54,17 +54,9 @@ EXIT_INTERNAL = 3
 
 def _fmt(x, approx: bool = False) -> str:
     s = format_scalar(x)
-    if approx and not isinstance(as_exact(x), Fraction):
+    if approx and isinstance(x, QuadraticNumber):
         s += f" (~{float(x):.6g})"
     return s
-
-
-def _spec_is_rational(spec) -> bool:
-    return all(
-        not (isinstance(x, QuadraticNumber) and x.radicand is not None)
-        for arr in (spec.c, spec.a, spec.b)
-        for x in arr
-    )
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -94,7 +86,7 @@ def _load_spec(path: str):
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.file)
-    if _spec_is_rational(spec):
+    if all(isinstance(x, Fraction) for x in spec.c + spec.a + spec.b):
         try:
             params = scheme_params(spec)
         except (ComplexRoots, RepeatedEigenvalue) as exc:

@@ -21,7 +21,7 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
     if isinstance(x, QuadraticNumber):
-        return not bool(x)
+        return False  # irrational, so never 0
     if isinstance(x, RatFunc):
         return x.is_zero()
     if isinstance(x, MultiPoly):
@@ -30,25 +30,20 @@ def scalar_is_zero(x) -> bool:
 
 
 def _check_kinds(entries) -> None:
-    radicand = None
-    has_quad = False
+    radicands = []
     has_sym = False
     for row in entries:
         for x in row:
             if isinstance(x, QuadraticNumber):
-                if x.radicand is not None:
-                    has_quad = True
-                    if radicand is None:
-                        radicand = x.radicand
-                    elif radicand != x.radicand:
-                        raise MixedScalars(
-                            f"matrix mixes sqrt({radicand}) and sqrt({x.radicand})"
-                        )
+                if x.radicand not in radicands:
+                    radicands.append(x.radicand)
             elif isinstance(x, (RatFunc, MultiPoly)):
                 has_sym = True
             elif not isinstance(x, (int, Fraction)):
                 raise MixedScalars(f"unsupported entry type {type(x).__name__}")
-    if has_quad and has_sym:
+    if len(radicands) > 1:
+        raise MixedScalars(f"matrix mixes sqrt({radicands[0]}) and sqrt({radicands[1]})")
+    if radicands and has_sym:
         raise MixedScalars("matrix mixes quadratic irrationals with symbolic entries")
 
 
@@ -69,10 +64,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, r: int, c: int) -> "Matrix":
-        return cls([[Fraction(0)] * c for _ in range(r)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -123,9 +114,6 @@ class Matrix:
             ]
         )
 
-    def __matmul__(self, other):
-        return self * other
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -143,12 +131,6 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in r] for r in self.rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix([list(c) for c in zip(*self.rows)])
-
-    def map(self, fn) -> "Matrix":
-        return Matrix([[fn(x) for x in r] for r in self.rows])
 
     # -- elimination ----------------------------------------------------
 

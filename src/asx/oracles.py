@@ -28,7 +28,6 @@ from .scheme import (
     first_eigenmatrix,
     triple_sums,
 )
-from .scalars import as_exact
 
 
 @dataclass(frozen=True)
@@ -183,11 +182,11 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
         raise NotPPolynomial("B1 is tridiagonal but not irreducible")
     _, P = dual_eigensystem(KreinTridiagonal(d, c, a, b))
     Q = first_eigenmatrix(P, Fraction(n))
-    valencies = tuple(as_exact(v) for v in P.row(0))
-    mults = tuple(as_exact(v) for v in Q.row(0))
+    valencies = P.row(0)
+    mults = Q.row(0)
     sums = triple_sums([Q.row(u) for u in rng], valencies)
     kreins = KreinTensor(
-        [Matrix([[as_exact(sums[i][j][kk] / (n * mults[kk])) for kk in rng] for j in rng])
+        [Matrix([[sums[i][j][kk] / (n * mults[kk]) for kk in rng] for j in rng])
          for i in rng]
     )
     inters = IntersectionTensor(

@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominator
-from .scalars import QuadraticNumber, as_exact, format_scalar
+from .scalars import QuadraticNumber, exact_sqrt, format_scalar
 from .scheme import KreinTridiagonal
 
 MAX_D = 16
@@ -66,7 +66,7 @@ def parse_scalar(text: str, line: int = 0, col: int = 0):
     rad = int(m.group("rad"))
     if rad < 2:
         raise ParseError(f"radicand must be >= 2 in {text!r}", line, col)
-    return QuadraticNumber(rat, coef, rad)
+    return rat + coef * exact_sqrt(rad)
 
 
 def parse_params_file(text: str) -> KreinTridiagonal:
@@ -76,7 +76,8 @@ def parse_params_file(text: str) -> KreinTridiagonal:
     ``d`` outside 1..MAX_D, and InvariantViolation when the parsed arrays violate the (Q2) nonzero
     requirements or c1* != 1.
     """
-    fields: dict[str, tuple[str, int, int]] = {}
+    # key -> (value, line, 1-based column of the value, [(token, column), ...])
+    fields: dict[str, tuple[str, int, int, list[tuple[str, int]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0]
         if not content.strip():
@@ -84,21 +85,23 @@ def parse_params_file(text: str) -> KreinTridiagonal:
         if ":" not in content:
             raise ParseError("expected 'key: value'", lineno, 1)
         key, value = content.split(":", 1)
+        start = len(key) + 1
+        tokens = [(t.group(), start + t.start() + 1) for t in re.finditer(r"\S+", value)]
+        col = tokens[0][1] if tokens else start + 1
         key = key.strip()
-        col = content.index(":") + 2
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", lineno, 1)
-        fields[key] = (value.strip(), lineno, col)
+        fields[key] = (value.strip(), lineno, col, tokens)
 
-    def need(key: str) -> tuple[str, int, int]:
+    def need(key: str) -> tuple[str, int, int, list[tuple[str, int]]]:
         if key not in fields:
             raise ParseError(f"missing required line {key!r}")
         return fields[key]
 
-    fmt, lineno, col = need("format")
+    fmt, lineno, col, _ = need("format")
     if fmt != "asx-params v1":
         raise ParseError(f"unsupported format {fmt!r}", lineno, col)
-    dtext, lineno, col = need("d")
+    dtext, lineno, col, _ = need("d")
     try:
         d = int(dtext)
     except ValueError:
@@ -108,42 +111,39 @@ def parse_params_file(text: str) -> KreinTridiagonal:
     if d > MAX_D:
         raise ParseError(f"d must be <= {MAX_D}, got {d}", lineno, col)
 
-    ftext, lineno, col = need("field")
-    radicand = None
+    ftext, lineno, col, _ = need("field")
+    field = None  # the declared radicand; None for Q
     if ftext != "Q":
         fm = re.match(r"^Q\(sqrt (\d+)\)$", ftext)
         if not fm:
             raise ParseError(f"field must be 'Q' or 'Q(sqrt D)', got {ftext!r}", lineno, col)
-        radicand = int(fm.group(1))
-        if radicand < 2:
+        field = int(fm.group(1))
+        if field < 2:
             raise ParseError("field radicand must be >= 2", lineno, col)
 
     arrays = {}
     for key in ("c", "a", "b"):
-        value, lineno, col = need(key)
-        tokens = value.split()
+        _, lineno, col, tokens = need(key)
         if len(tokens) != d:
             raise ParseError(
                 f"array {key!r} needs {d} values, got {len(tokens)}", lineno, col
             )
         parsed = []
-        pos = col
-        for tok in tokens:
+        for tok, pos in tokens:
             s = parse_scalar(tok, lineno, pos)
-            if isinstance(s, QuadraticNumber) and s.radicand is not None:
-                if radicand is None:
+            if isinstance(s, QuadraticNumber):
+                if field is None:
                     raise ParseError(
                         f"quadratic literal {tok!r} in a rational field", lineno, pos
                     )
-                if s.radicand != radicand:
+                if s.radicand != field:
                     raise ParseError(
                         f"radicand {s.radicand} does not match the declared field "
-                        f"Q(sqrt {radicand})",
+                        f"Q(sqrt {field})",
                         lineno,
                         pos,
                     )
             parsed.append(s)
-            pos += len(tok) + 1
         arrays[key] = tuple(parsed)
 
     unknown = set(fields) - {"format", "d", "field", "c", "a", "b"}
@@ -155,13 +155,9 @@ def parse_params_file(text: str) -> KreinTridiagonal:
 
 def render_params(spec: KreinTridiagonal) -> str:
     """Serialize a spec back to the file format (normalized form)."""
-    radicand = None
-    for arr in (spec.c, spec.a, spec.b):
-        for x in arr:
-            if isinstance(x, QuadraticNumber) and x.radicand is not None:
-                radicand = x.radicand
-    field = "Q" if radicand is None else f"Q(sqrt {radicand})"
-    fmt = lambda xs: " ".join(format_scalar(as_exact(x)) for x in xs)
+    quads = [x for arr in (spec.c, spec.a, spec.b) for x in arr if isinstance(x, QuadraticNumber)]
+    field = f"Q(sqrt {quads[-1].radicand})" if quads else "Q"
+    fmt = lambda xs: " ".join(format_scalar(x) for x in xs)
     return (
         "format: asx-params v1\n"
         f"d: {spec.d}\n"

@@ -121,15 +121,6 @@ class MultiPoly:
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
 
-    def monomial_content(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms."""
-        if not self.terms:
-            return ()
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(map(min, mins, e))
-        return mins
-
     # -- alignment --------------------------------------------------------
 
     def _embed(self, variables: tuple[str, ...]) -> dict:
@@ -404,16 +395,15 @@ def _monic(p: MultiPoly) -> MultiPoly:
     return p if lc == 1 else p * (Fraction(1) / lc)
 
 
+def _min_exponents(exponents) -> tuple[int, ...]:
+    """Componentwise minimum of exponent vectors of one length (the exponents
+    of the largest monomial dividing every term)."""
+    return tuple(map(min, zip(*exponents)))
+
+
 def _monomial_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     vs, tf, tg = f._align(g)
-    mins_f = None
-    for e in tf:
-        mins_f = e if mins_f is None else tuple(map(min, mins_f, e))
-    mins_g = None
-    for e in tg:
-        mins_g = e if mins_g is None else tuple(map(min, mins_g, e))
-    e = tuple(map(min, mins_f, mins_g))
-    return MultiPoly(vs, {e: Fraction(1)})
+    return MultiPoly(vs, {_min_exponents([*tf, *tg]): Fraction(1)})
 
 
 def _int_primitive(coeffs) -> tuple[int, list[int]]:
@@ -597,17 +587,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _monomial_gcd(f, g)
     vs, tf, tg = f._align(g)
     # strip common monomial content first: cheap and typical for ladder data
-    def _mins(terms):
-        out = None
-        for e in terms:
-            out = e if out is None else tuple(map(min, out, e))
-        return out
-
-    mins_f, mins_g = _mins(tf), _mins(tg)
+    mins_f, mins_g = _min_exponents(tf), _min_exponents(tg)
     if any(mins_f) or any(mins_g):
         tf = {tuple(a - b for a, b in zip(e, mins_f)): c for e, c in tf.items()}
         tg = {tuple(a - b for a, b in zip(e, mins_g)): c for e, c in tg.items()}
-        common = tuple(map(min, mins_f, mins_g))
+        common = _min_exponents((mins_f, mins_g))
         core = poly_gcd(MultiPoly(vs, tf), MultiPoly(vs, tg))
         if any(common):
             core = core * MultiPoly(vs, {common: Fraction(1)})

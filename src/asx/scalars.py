@@ -1,8 +1,10 @@
 """Exact scalars: arbitrary-precision rationals and real quadratic irrationals.
 
 Every numeric value in this package is a ``fractions.Fraction``, a
-:class:`QuadraticNumber` (``a + b*sqrt(d)`` with square-free ``d >= 2``), or
-one of the symbolic types from :mod:`asx.poly`.  All arithmetic is exact;
+:class:`QuadraticNumber` (``a + b*sqrt(d)`` with ``b != 0`` and square-free
+``d >= 2``), or one of the symbolic types from :mod:`asx.poly`.  A rational
+value is always a Fraction: QuadraticNumber construction and arithmetic
+return one whenever the sqrt part vanishes.  All arithmetic is exact;
 floats appear only as optional display hints.  Values are immutable, so they
 may be shared freely.
 """
@@ -57,38 +59,40 @@ def exact_sqrt(x: Fraction | int) -> "Fraction | QuadraticNumber":
 
 
 class QuadraticNumber:
-    """An element ``a + b*sqrt(d)`` of a real quadratic field.
+    """An irrational element ``a + b*sqrt(d)`` of a real quadratic field.
 
-    ``a`` and ``b`` are exact rationals and ``d`` is a square-free integer
-    >= 2 (``None`` when the value is purely rational, i.e. b == 0).  The
-    radicand is normalized at construction, so equality is structural.
+    ``a`` and ``b`` are exact rationals with ``b != 0`` and ``d`` is a
+    square-free integer >= 2, so equality is structural.  A rational value is
+    always a plain Fraction: construction and arithmetic return one whenever
+    the sqrt part vanishes (``b == 0``, a square radicand, or cancellation).
     Elements with different radicands may not be combined: that raises
     MixedScalars rather than silently coercing into a biquadratic field.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, a, b=0, radicand: int | None = None):
+    def __new__(cls, a, b=0, radicand: int | None = None):
         a = Fraction(a)
         b = Fraction(b)
         if b == 0:
-            d = None
-        else:
-            if radicand is None:
-                raise ValueError("radicand required when the sqrt coefficient is nonzero")
-            if radicand < 2:
-                raise ValueError("radicand must be an integer >= 2")
-            s, f = square_free_split(radicand)
-            b *= s
-            if f == 1:
-                a += b
-                b = Fraction(0)
-                d = None
-            else:
-                d = f
-        self._a = a
-        self._b = b
-        self._d = d
+            return a
+        if not isinstance(radicand, int) or radicand < 2:
+            raise ValueError("a nonzero sqrt coefficient needs an integer radicand >= 2")
+        s, f = square_free_split(radicand)
+        if f == 1:
+            return a + b * s
+        return cls._make(a, b * s, f)
+
+    @staticmethod
+    def _make(a: Fraction, b: Fraction, d: int) -> "Fraction | QuadraticNumber":
+        """``a + b*sqrt(d)`` for a square-free ``d >= 2``; ``a`` when ``b == 0``."""
+        if not b:
+            return a
+        out = object.__new__(QuadraticNumber)
+        out._a = a
+        out._b = b
+        out._d = d
+        return out
 
     # -- field access -------------------------------------------------
 
@@ -101,56 +105,29 @@ class QuadraticNumber:
         return self._b
 
     @property
-    def radicand(self) -> int | None:
+    def radicand(self) -> int:
         return self._d
 
-    @property
-    def is_rational(self) -> bool:
-        return self._d is None
-
-    def as_fraction(self) -> Fraction:
-        if self._d is not None:
-            raise ValueError(f"{self} is irrational")
-        return self._a
-
     def conjugate(self) -> "QuadraticNumber":
-        out = object.__new__(QuadraticNumber)
-        out._a, out._b, out._d = self._a, -self._b, self._d
-        return out
+        return self._make(self._a, -self._b, self._d)
 
-    # -- coercion -----------------------------------------------------
-
-    @classmethod
-    def _coerce(cls, x) -> "QuadraticNumber | None":
-        if isinstance(x, QuadraticNumber):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
+    def _parts(self, other) -> "tuple | None":
+        """``other`` as ``(a, b)`` over this radicand; None for a foreign type."""
+        if isinstance(other, QuadraticNumber):
+            if other._d != self._d:
+                raise MixedScalars(f"cannot combine sqrt({self._d}) with sqrt({other._d})")
+            return other._a, other._b
+        if isinstance(other, (int, Fraction)):
+            return other, 0
         return None
-
-    def _common_radicand(self, other: "QuadraticNumber") -> int | None:
-        if self._d is None:
-            return other._d
-        if other._d is None or other._d == self._d:
-            return self._d
-        raise MixedScalars(f"cannot combine sqrt({self._d}) with sqrt({other._d})")
-
-    @staticmethod
-    def _make(a: Fraction, b: Fraction, d: int | None) -> "QuadraticNumber":
-        out = object.__new__(QuadraticNumber)
-        out._a = a
-        out._b = b
-        out._d = d if b != 0 else None
-        return out
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        d = self._common_radicand(o)
-        return self._make(self._a + o._a, self._b + o._b, d)
+        return self._make(self._a + p[0], self._b + p[1], self._d)
 
     __radd__ = __add__
 
@@ -158,55 +135,53 @@ class QuadraticNumber:
         return self._make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return self + (-o)
+        return self._make(self._a - p[0], self._b - p[1], self._d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return o + (-self)
+        return self._make(p[0] - self._a, p[1] - self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        d = self._common_radicand(o)
-        cross = self._b * o._b
-        a = self._a * o._a + (cross * d if cross else 0)
-        b = self._a * o._b + self._b * o._a
-        return self._make(a, b, d)
+        oa, ob = p
+        a, b, d = self._a, self._b, self._d
+        if not ob:
+            return self._make(a * oa, b * oa, d)
+        return self._make(a * oa + b * ob * d, a * ob + b * oa, d)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "QuadraticNumber":
-        if self._d is None:
-            if self._a == 0:
-                raise ZeroDivisionError("division by zero")
-            return self._make(1 / self._a, Fraction(0), None)
+    def _reciprocal(self) -> "QuadraticNumber":
         # a^2 - b^2 d is nonzero: sqrt(d) is irrational.
         norm = self._a * self._a - self._b * self._b * self._d
         return self._make(self._a / norm, -self._b / norm, self._d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        p = self._parts(other)
+        if p is None:
             return NotImplemented
-        return self * o._inverse()
+        if p[1]:
+            return self * other._reciprocal()
+        if not p[0]:
+            raise ZeroDivisionError("division by zero")
+        return self._make(self._a / p[0], self._b / p[0], self._d)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self._inverse()
+        return self._reciprocal() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadraticNumber(1)
-        base = self
+        out, base = Fraction(1), self
         while n:
             if n & 1:
                 out = out * base
@@ -217,86 +192,50 @@ class QuadraticNumber:
     # -- exact order --------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1) using only integer arithmetic."""
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| beats |b|sqrt(d) iff a^2 > b^2 d
-        lhs = a * a
-        rhs = b * b * d
-        if lhs == rhs:
-            return 0  # unreachable for square-free d >= 2; defensive
-        rational_wins = lhs > rhs
-        if a > 0:
-            return 1 if rational_wins else -1
-        return -1 if rational_wins else 1
+        """Exact sign (-1 or +1) using only rational arithmetic."""
+        a, b = self._a, self._b
+        sb = 1 if b > 0 else -1
+        if a == 0 or (a > 0) == (b > 0):
+            return sb
+        # opposite signs: |a| beats |b|sqrt(d) iff a^2 > b^2 d (never equal)
+        return -sb if a * a > b * b * self._d else sb
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
+        if isinstance(other, QuadraticNumber):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        diff = self - other
+        return NotImplemented if diff is NotImplemented else scalar_sign(diff) < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        diff = self - other
+        return NotImplemented if diff is NotImplemented else scalar_sign(diff) <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        diff = self - other
+        return NotImplemented if diff is NotImplemented else scalar_sign(diff) > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        diff = self - other
+        return NotImplemented if diff is NotImplemented else scalar_sign(diff) >= 0
 
     def __hash__(self):
-        if self._d is None:
-            return hash(self._a)
         return hash((self._a, self._b, self._d))
-
-    def __bool__(self):
-        return self._a != 0 or self._b != 0
 
     # -- display ------------------------------------------------------
 
     def __float__(self):
-        v = float(self._a)
-        if self._d is not None:
-            v += float(self._b) * math.sqrt(self._d)
-        return v
+        return float(self._a) + float(self._b) * math.sqrt(self._d)
 
     def __repr__(self):
         return f"QuadraticNumber({self._a!r}, {self._b!r}, {self._d!r})"
 
     def __str__(self):
         return format_scalar(self)
-
-
-def as_exact(x):
-    """Demote a rational-valued QuadraticNumber to a plain Fraction."""
-    if isinstance(x, QuadraticNumber) and x.is_rational:
-        return x.as_fraction()
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
 
 
 def scalar_sign(x) -> int:
@@ -309,15 +248,11 @@ def scalar_sign(x) -> int:
 
 
 def is_integer_scalar(x) -> bool:
-    x = as_exact(x)
-    return isinstance(x, Fraction) and x.denominator == 1
+    return isinstance(x, (int, Fraction)) and x.denominator == 1
 
 
 def format_scalar(x) -> str:
     """Canonical exact string: ``p/q`` or ``p/q+r/s*sqrt(D)``."""
-    x = as_exact(x)
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, QuadraticNumber):
         a, b, d = x.rational_part, x.sqrt_coefficient, x.radicand
         root = f"{abs(b)}*sqrt({d})" if abs(b) != 1 else f"sqrt({d})"

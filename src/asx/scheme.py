@@ -36,7 +36,6 @@ from .linalg import Matrix, scalar_is_zero
 from .poly import MultiPoly, RatFunc, roots_low_degree
 from .scalars import (
     QuadraticNumber,
-    as_exact,
     format_scalar,
     is_integer_scalar,
     scalar_sign,
@@ -61,7 +60,9 @@ class KreinTridiagonal:
     __slots__ = ("d", "c", "a", "b")
 
     def __init__(self, d: int, c, a, b):
-        c, a, b = (tuple(map(as_exact, xs)) for xs in (c, a, b))
+        c, a, b = (
+            tuple(Fraction(x) if isinstance(x, int) else x for x in xs) for xs in (c, a, b)
+        )
         if len(c) != d or len(a) != d or len(b) != d:
             raise InvariantViolation(
                 f"need d={d} values in each of c (c1..cd), a (a1..ad), b (b0..b(d-1))"
@@ -78,11 +79,6 @@ class KreinTridiagonal:
         for i, x in enumerate(b):
             if scalar_is_zero(x):
                 raise InvariantViolation(f"(Q2) violated: b{i}* = 0")
-
-    @property
-    def b0(self):
-        """``b0* = m1``, the rank of the first idempotent."""
-        return self.b[0]
 
     def first_matrix(self) -> Matrix:
         """Assemble ``B1*`` ((d+1) x (d+1)): column k holds c_k*, a_k*, b_k*."""
@@ -350,7 +346,7 @@ def _conjugate_grouped_desc(values: list) -> list:
     groups = []
     while remaining:
         r = remaining.pop(0)
-        if isinstance(r, QuadraticNumber) and not r.is_rational:
+        if isinstance(r, QuadraticNumber):
             conj = r.conjugate()
             if conj in remaining:
                 remaining.remove(conj)
@@ -384,7 +380,7 @@ def dual_eigensystem(spec: KreinTridiagonal):
         )
     rest = [r for r in roots if r != b0]
     thetas = [b0] + _conjugate_grouped_desc(rest)
-    q_rows = [[as_exact(v) for v in value_sequence(spec, t)[:-1]] for t in thetas]
+    q_rows = [value_sequence(spec, t)[:-1] for t in thetas]
     return tuple(thetas), Matrix(q_rows)
 
 
@@ -401,10 +397,10 @@ def first_eigenmatrix(Q: Matrix, n) -> Matrix:
 def scheme_params(spec: KreinTridiagonal) -> SchemeParams:
     """Full parameter set (Q, P, multiplicities, valencies, Krein tensor)."""
     _, Q = dual_eigensystem(spec)
-    mults = tuple(as_exact(x) for x in Q.row(0))
+    mults = Q.row(0)
     n = sum(mults, Fraction(0))
     P = first_eigenmatrix(Q, n)
-    valencies = tuple(as_exact(x) for x in P.row(0))
+    valencies = P.row(0)
     return SchemeParams(
         d=spec.d,
         n=n,
@@ -456,8 +452,8 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     for i in rng:
         for j in rng:
             for kk in rng:
-                v1 = as_exact(primary[i][j][kk] / (n * k[kk]))
-                v2 = as_exact(dual[i][j][kk] * k[i] * k[j] / n)
+                v1 = primary[i][j][kk] / (n * k[kk])
+                v2 = dual[i][j][kk] * k[i] * k[j] / n
                 if v1 != v2:
                     raise InconsistentEigenmatrices(
                         f"p^{kk}_{{{i},{j}}}: {format_scalar(v1)} (eigen form) vs {format_scalar(v2)} (dual form)"
@@ -476,11 +472,11 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
 
 
 def _is_positive_integer(x) -> bool:
-    return is_integer_scalar(x) and scalar_sign(as_exact(x)) > 0
+    return is_integer_scalar(x) and x > 0
 
 
 def _is_nonneg_integer(x) -> bool:
-    return is_integer_scalar(x) and scalar_sign(as_exact(x)) >= 0
+    return is_integer_scalar(x) and x >= 0
 
 
 def _column_sum_check(name: str, entry, totals, sym: str, total: str) -> FeasibilityCheck:

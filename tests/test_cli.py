@@ -86,7 +86,7 @@ class TestCheck:
             assert run([argv[0], str(p)] + argv[1:]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: line 2, col 3: d must be <= 16, got 17\n"
+            assert captured.err == "error: line 2, col 4: d must be <= 16, got 17\n"
 
     @pytest.mark.parametrize(
         "name, a, b, message",

@@ -73,6 +73,12 @@ class TestParseFile:
         with pytest.raises(ZeroDenominator) as exc:
             parse_params_file(bad)
         assert exc.value.line == 5
+        assert exc.value.col == 6
+        # columns count every space, also runs of them
+        spaced = M5_TEXT.replace("c: 1 2 5/3 4/3 5", "c:  1  1/0 5/3 4/3 5")
+        with pytest.raises(ZeroDenominator) as exc:
+            parse_params_file(spaced)
+        assert (exc.value.line, exc.value.col) == (5, 8)
 
     def test_zero_c2_names_q2(self):
         bad = M5_TEXT.replace("c: 1 2 5/3 4/3 5", "c: 1 0 5/3 4/3 5")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asx import poly
 from asx.errors import ComplexRoots, UnsupportedAlgebraicDegree
 from asx.poly import (
     MultiPoly,
@@ -103,6 +104,62 @@ def test_gcd_examples():
     assert poly_gcd(c2 ** 2 * c3 * (m + 1), c2 * c3 ** 2) == c2 * c3
     assert poly_gcd(MultiPoly.const(4), m + 1).is_one()
     assert poly_gcd((m + c2) * (m - c3), (m + c2) * (m + c3)) == m + c2
+
+
+@pytest.mark.parametrize("path", ["gcdheu", "prs"])
+def test_gcd_agrees_with_sympy(path, monkeypatch):
+    # Products in 2-3 variables that share a random factor and do not divide
+    # one another reach GCDHEU; with it forced to fail, they reach the
+    # pseudo-remainder sequence, and the fixed pairs below its
+    # missing-variable branch and the divisibility fast path.
+    sympy = pytest.importorskip("sympy")
+    if path == "prs":
+        def give_up(f, g, depth=0):
+            raise poly._HeuristicFailed
+
+        monkeypatch.setattr(poly, "_gcdheu", give_up)
+    rng = random.Random(6)
+
+    def build(names, terms):
+        out = MultiPoly.zero()
+        for e, c in terms:
+            term = MultiPoly.const(c)
+            for name, k in zip(names, e):
+                term = term * MultiPoly.var(name) ** k
+            out = out + term
+        return out
+
+    def random_poly(names):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            e = tuple(rng.randint(0, 2) for _ in names)
+            terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+        return build(names, terms.items())
+
+    def to_sympy(p):
+        syms = sympy.symbols(p.vars) if p.vars else ()
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.prod([v**k for v, k in zip(syms, e)])
+             for e, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    def from_sympy(expr, names):
+        terms = sympy.Poly(expr, *sympy.symbols(names)).terms()
+        return build(names, [(e, Fraction(int(c.p), int(c.q))) for e, c in terms])
+
+    cases = []
+    for names in [("m", "u"), ("m", "u", "v")] * 8:
+        g = random_poly(names)
+        cases.append((g * random_poly(names), g * random_poly(names)))
+    # v is the main variable (lowest degree) and is missing from the second input
+    u, v = MultiPoly.var("u"), MultiPoly.var("v")
+    cases.append(((m + u) * (v + 2) * (u - 1), (m + u) * (m * m + u)))
+    cases.append((m + u, (m + u) * (u - v + 1)))  # the first divides the second
+    for f, h in cases:
+        want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(h)), ("m", "u", "v"))
+        want = want * (Fraction(1) / want.leading_coeff())
+        assert poly_gcd(f, h) == want, (f, h)
 
 
 class TestRatFunc:

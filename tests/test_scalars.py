@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asx.errors import MixedScalars
 from asx.scalars import (
     QuadraticNumber,
-    as_exact,
     exact_sqrt,
     format_scalar,
     scalar_sign,
@@ -37,7 +38,7 @@ def test_radicand_normalization():
     assert x == QuadraticNumber(1, 1, 3)
     assert x.radicand == 3
     y = QuadraticNumber(2, 3, 4)  # sqrt(4) = 2 is rational
-    assert y.is_rational and y.as_fraction() == 8
+    assert y == 8 and type(y) is Fraction
 
 
 def test_equality_is_structural():
@@ -59,6 +60,79 @@ def test_field_arithmetic():
     assert x ** 3 == QuadraticNumber(7, 5, 2)
     with pytest.raises(ZeroDivisionError):
         x / QuadraticNumber(0)
+
+
+def _reference_ops(f):
+    """Field operations on pairs (a, b) meaning a + b*sqrt(f)."""
+
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[1] * f, x[0] * y[1] + x[1] * y[0])
+
+    def inv(x):
+        norm = x[0] * x[0] - x[1] * x[1] * f
+        return (x[0] / norm, -x[1] / norm)
+
+    return mul, inv
+
+
+def _assert_canonical(got, want, f):
+    a, b = want
+    if b == 0:
+        assert type(got) is Fraction and got == a
+    else:
+        assert type(got) is QuadraticNumber
+        assert (got.rational_part, got.sqrt_coefficient, got.radicand) == (a, b, f)
+        d = got.radicand
+        assert d >= 2 and all(d % (p * p) for p in range(2, math.isqrt(d) + 1))
+
+
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4, 5, 8, 9, 12, 18, 21, 72]),
+    x=st.tuples(_rationals, _rationals),
+    y=st.tuples(_rationals, _rationals),
+    k=st.integers(-6, 6),
+    n=st.integers(0, 5),
+)
+def test_rational_values_are_always_fractions(d, x, y, k, n):
+    # d = s^2 f with f square-free; f = 1 makes every value rational
+    s = max(t for t in range(1, d + 1) if d % (t * t) == 0)
+    f = d // (s * s)
+    mul, inv = _reference_ops(f)
+
+    def build(p):
+        ref = (p[0] + p[1] * s, Fraction(0)) if f == 1 else (p[0], p[1] * s)
+        value = QuadraticNumber(p[0], p[1], d)
+        _assert_canonical(value, ref, f)
+        return value, ref
+
+    (xv, xr), (yv, yr) = build(x), build(y)
+    kr = (Fraction(k), Fraction(0))
+    power = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        power = mul(power, xr)
+    cases = [
+        (xv + yv, (xr[0] + yr[0], xr[1] + yr[1])),
+        (xv - yv, (xr[0] - yr[0], xr[1] - yr[1])),
+        (xv * yv, mul(xr, yr)),
+        (xv + k, (xr[0] + k, xr[1])),
+        (k - xv, (k - xr[0], -xr[1])),
+        (k * xv, mul(kr, xr)),
+        (xv ** n, power),
+    ]
+    if yr != (0, 0):
+        cases.append((xv / yv, mul(xr, inv(yr))))
+    if xr != (0, 0):
+        cases.append((k / xv, mul(kr, inv(xr))))
+    if k:
+        cases.append((xv / k, mul(xr, inv(kr))))
+    if isinstance(xv, QuadraticNumber):
+        cases.append((xv * xv.conjugate(), (xr[0] ** 2 - xr[1] ** 2 * f, Fraction(0))))
+    for got, want in cases:
+        _assert_canonical(got, want, f)
 
 
 def test_mixed_radicands_refuse_to_combine():
@@ -107,7 +181,6 @@ def test_total_order_and_conjugate():
 
 
 def test_as_exact_and_format():
-    assert as_exact(QuadraticNumber(Fraction(5, 3))) == Fraction(5, 3)
     assert format_scalar(Fraction(72, 7)) == "72/7"
     assert format_scalar(QuadraticNumber(-2, Fraction(1, 3), 21)) == "-2+1/3*sqrt(21)"
     assert format_scalar(QuadraticNumber(0, -1, 5)) == "-sqrt(5)"
