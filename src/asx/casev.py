@@ -778,8 +778,5 @@ def fused_krein_reference_report() -> FusedKreinComparison:
     for j in range(4):
         for k in range(4):
             got, want = c1[j, k], reported[j, k]
-            eq = (RatFunc.const(got) if isinstance(got, (int, Fraction)) else got) == (
-                RatFunc.const(want) if isinstance(want, (int, Fraction)) else want
-            )
-            entries.append((j, k, str(got), str(want), bool(eq)))
+            entries.append((j, k, str(got), str(want), got == want))
     return FusedKreinComparison(sums_ok, tuple(entries))

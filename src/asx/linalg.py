@@ -1,11 +1,11 @@
-"""Dense exact matrices over one scalar kind, with fraction-free inversion.
+"""Dense exact matrices over one scalar field, with Gauss-Jordan elimination.
 
 A matrix holds Fractions, QuadraticNumbers sharing a single radicand
-(rationals mix in freely), or RatFunc/MultiPoly entries.  Mixing distinct
-radicands, or a radical with a symbolic entry, raises MixedScalars instead
-of coercing.  Inversion and determinants use Bareiss-style fraction-free
-elimination (the Gauss-Jordan variant for the inverse), which is exact for
-every supported scalar kind.
+(rationals mix in freely), or RatFunc entries: every entry lies in one field
+(Q, Q(sqrt D) or Q(x1, ..., xk)).  Mixing distinct radicands, or a radical
+with a symbolic entry, raises MixedScalars instead of coercing.  The
+inverse, the determinant and the nullspace come from one Gauss-Jordan
+elimination over that field.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import MixedScalars, SingularMatrix
-from .poly import MultiPoly, RatFunc
+from .poly import RatFunc
 from .scalars import QuadraticNumber, format_scalar
 
 
@@ -23,8 +23,6 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, QuadraticNumber):
         return False  # irrational, so never 0
     if isinstance(x, RatFunc):
-        return x.is_zero()
-    if isinstance(x, MultiPoly):
         return x.is_zero()
     raise TypeError(f"unsupported scalar {type(x).__name__}")
 
@@ -37,7 +35,7 @@ def _check_kinds(entries) -> None:
             if isinstance(x, QuadraticNumber):
                 if x.radicand not in radicands:
                     radicands.append(x.radicand)
-            elif isinstance(x, (RatFunc, MultiPoly)):
+            elif isinstance(x, RatFunc):
                 has_sym = True
             elif not isinstance(x, (int, Fraction)):
                 raise MixedScalars(f"unsupported entry type {type(x).__name__}")
@@ -75,9 +73,6 @@ class Matrix:
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -89,18 +84,6 @@ class Matrix:
 
     def __hash__(self):
         return hash(self.rows)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -135,63 +118,24 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by fraction-free Gauss-Jordan (Bareiss) elimination."""
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
+        """Exact inverse: reduce ``[A | I]`` and read ``A^-1`` off the right half."""
         n = self.nrows
+        if n != self.ncols:
+            raise ValueError("inverse of a non-square matrix")
         aug = [list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        prev = Fraction(1)
-        for col in range(n):
-            p = col
-            while p < n and scalar_is_zero(aug[p][col]):
-                p += 1
-            if p == n:
-                raise SingularMatrix(f"no pivot in column {col}")
-            if p != col:
-                aug[col], aug[p] = aug[p], aug[col]
-            pivot = aug[col][col]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = aug[r][col]
-                row = aug[r]
-                piv_row = aug[col]
-                for cc in range(2 * n):
-                    row[cc] = (pivot * row[cc] - f * piv_row[cc]) / prev
-            prev = pivot
-        out = []
-        for i in range(n):
-            scale = aug[i][i]
-            if scalar_is_zero(scale):
-                raise SingularMatrix("zero diagonal after elimination")
-            out.append([aug[i][n + j] / scale for j in range(n)])
-        return Matrix(out)
+        rows, pivots, _ = _reduce(aug, n)
+        if len(pivots) < n:
+            col = next(c for c in range(n) if c not in pivots)
+            raise SingularMatrix(f"no pivot in column {col}")
+        return Matrix([r[n:] for r in rows])
 
     def determinant(self):
-        """Exact determinant by Bareiss fraction-free elimination."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
+        """Exact determinant: the signed product of the elimination pivots."""
         n = self.nrows
-        mat = [list(r) for r in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for col in range(n - 1):
-            p = col
-            while p < n and scalar_is_zero(mat[p][col]):
-                p += 1
-            if p == n:
-                return Fraction(0)
-            if p != col:
-                mat[col], mat[p] = mat[p], mat[col]
-                sign = -sign
-            pivot = mat[col][col]
-            for r in range(col + 1, n):
-                f = mat[r][col]
-                for cc in range(col, n):
-                    mat[r][cc] = (pivot * mat[r][cc] - f * mat[col][cc]) / prev
-            prev = pivot
-        det = mat[n - 1][n - 1]
-        return det if sign == 1 else -det
+        if n != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
+        _, pivots, det = _reduce(self.rows, n)
+        return det if len(pivots) == n else Fraction(0)
 
     def __str__(self):
         cells = [[format_scalar(x) for x in r] for r in self.rows]
@@ -206,33 +150,47 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def nullspace(m: Matrix) -> list[tuple]:
-    """Basis of the exact right nullspace (Gauss-Jordan elimination)."""
-    rows = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
+def _reduce(rows, ncols: int):
+    """Gauss-Jordan elimination over the entries' field on the first ``ncols``
+    columns, pivoting on the first nonzero entry of each column.
+
+    Returns the reduced rows (each pivot 1, the rest of its column 0), the
+    pivot columns, and the product of the pivots, negated once per row swap.
+    """
+    rows = [list(r) for r in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        p = r
-        while p < nr and scalar_is_zero(rows[p][c]):
-            p += 1
-        if p == nr:
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if not scalar_is_zero(rows[i][c])), None)
+        if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and not scalar_is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        det *= pv
+        # rows from r down are zero left of column c, so only c.. changes
+        piv = [x / pv for x in rows[r][c:]]
+        rows[r][c:] = piv
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not scalar_is_zero(f):
+                row[c:] = [a - f * b for a, b in zip(row[c:], piv)]
         pivots.append(c)
-        r += 1
-        if r == nr:
+        if len(pivots) == len(rows):
             break
-    free = [c for c in range(nc) if c not in pivots]
+    return rows, pivots, det
+
+
+def nullspace(m: Matrix) -> list[tuple]:
+    """Basis of the exact right nullspace, one vector per non-pivot column."""
+    rows, pivots, _ = _reduce(m.rows, m.ncols)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             v[pc] = -rows[ri][fc]

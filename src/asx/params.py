@@ -17,6 +17,12 @@ Values are exact rationals ``p/q`` or quadratic literals
 ``d`` must lie in 1..MAX_D (16).  Every command that reads a file runs
 the Krein ladder, which is O(d^4), and ``check`` also factors the
 annihilator; the bound keeps the work of any accepted file small.
+
+Every radicand, the field's and each ``sqrt(D)`` literal's, must lie in
+2..MAX_RADICAND (10^12): radicands are reduced to their square-free part by
+trial division up to sqrt(D), and the bound keeps that below a second.  The
+declared field is reduced too, so ``Q(sqrt 8)`` declares Q(sqrt 2) and
+``Q(sqrt 4)`` declares Q.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominator
-from .scalars import QuadraticNumber, exact_sqrt, format_scalar
+from .scalars import QuadraticNumber, exact_sqrt, format_scalar, square_free_split
 from .scheme import KreinTridiagonal
 
 MAX_D = 16
+MAX_RADICAND = 10**12
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _QUAD_RE = re.compile(
@@ -66,6 +73,8 @@ def parse_scalar(text: str, line: int = 0, col: int = 0):
     rad = int(m.group("rad"))
     if rad < 2:
         raise ParseError(f"radicand must be >= 2 in {text!r}", line, col)
+    if rad > MAX_RADICAND:
+        raise ParseError(f"radicand must be <= {MAX_RADICAND} in {text!r}", line, col)
     return rat + coef * exact_sqrt(rad)
 
 
@@ -112,14 +121,19 @@ def parse_params_file(text: str) -> KreinTridiagonal:
         raise ParseError(f"d must be <= {MAX_D}, got {d}", lineno, col)
 
     ftext, lineno, col, _ = need("field")
-    field = None  # the declared radicand; None for Q
+    field = None  # the declared radicand, square-free; None for Q
     if ftext != "Q":
         fm = re.match(r"^Q\(sqrt (\d+)\)$", ftext)
         if not fm:
             raise ParseError(f"field must be 'Q' or 'Q(sqrt D)', got {ftext!r}", lineno, col)
-        field = int(fm.group(1))
-        if field < 2:
+        declared = int(fm.group(1))
+        if declared < 2:
             raise ParseError("field radicand must be >= 2", lineno, col)
+        if declared > MAX_RADICAND:
+            raise ParseError(f"field radicand must be <= {MAX_RADICAND}", lineno, col)
+        field = square_free_split(declared)[1]
+        if field == 1:
+            field = None
 
     arrays = {}
     for key in ("c", "a", "b"):
@@ -139,7 +153,7 @@ def parse_params_file(text: str) -> KreinTridiagonal:
                 if s.radicand != field:
                     raise ParseError(
                         f"radicand {s.radicand} does not match the declared field "
-                        f"Q(sqrt {field})",
+                        f"Q(sqrt {declared})",
                         lineno,
                         pos,
                     )

@@ -25,8 +25,6 @@ from math import gcd, lcm
 from .errors import ComplexRoots, UnsupportedAlgebraicDegree
 from .scalars import exact_sqrt
 
-Coeff = Fraction
-
 
 def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
@@ -35,7 +33,7 @@ def _grlex_key(exps: tuple[int, ...]):
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms")
 
     def __init__(self, variables=(), terms=None):
         # Internal constructor: use the classmethods or arithmetic to build
@@ -46,7 +44,6 @@ class MultiPoly:
         assert list(variables) == sorted(variables), "variables must be sorted"
         self.vars = variables
         self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._hash = None
         self._prune()
 
     def _prune(self):
@@ -235,9 +232,7 @@ class MultiPoly:
         return self.vars == o.vars and self.terms == o.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.vars, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

@@ -500,7 +500,7 @@ def _krein_checks(tensor: KreinTensor, mults) -> tuple[FeasibilityCheck, Feasibi
         for j in rng:
             for k in rng:
                 v = tensor.q(i, j, k)
-                if not isinstance(v, (RatFunc, MultiPoly)) and scalar_sign(v) < 0:
+                if not isinstance(v, RatFunc) and scalar_sign(v) < 0:
                     bad.append(f"q^{k}_{{{i},{j}}} = {format_scalar(v)}")
     nonneg = FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad))
     return nonneg, _column_sum_check("krein-column-sums", tensor.q, mults, "q", "m")

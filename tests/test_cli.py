@@ -18,6 +18,17 @@ a: 0 0 0
 b: 3 2 1
 """
 
+# an irrational tridiagonal entry, so check skips the eigensystem and one
+# multiplicity is irrational
+QUAD_ENTRIES = """\
+format: asx-params v1
+d: 2
+field: Q(sqrt 5)
+c: 1 1+sqrt(5)
+a: 0 1
+b: 2 1
+"""
+
 
 @pytest.fixture
 def m5_file(tmp_path):
@@ -160,6 +171,67 @@ class TestCheck:
             "1/2*x^6 - 149/12*x^4 - 137/6*x^3 - 335/4*x^2 + 331/6*x - 72\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (
+                "Q(sqrt 2305843009213693951)",
+                "line 3, col 8: field radicand must be <= 1000000000000",
+            ),
+            (
+                "Q(sqrt 2)",
+                "line 5, col 6: radicand must be <= 1000000000000 in "
+                "'sqrt(2305843009213693951)'",
+            ),
+        ],
+    )
+    def test_radicand_past_the_bound_is_an_input_error(self, tmp_path, capsys, field, message):
+        # 2^61 - 1 is prime, so reducing it to its square-free part by trial
+        # division would not end; SIGALRM fails the test after 2 s.
+        p = tmp_path / "huge-radicand.params"
+        p.write_text(
+            f"format: asx-params v1\nd: 2\nfield: {field}\n"
+            "c: 1 1\na: 0 sqrt(2305843009213693951)\nb: 2 1\n"
+        )
+
+        def too_slow(signum, frame):
+            raise TimeoutError("parsing a radicand past the bound took more than 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            code = run(["check", str(p)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_intersection_formulas_disagree(self, tmp_path, capsys):
+        # b0* = 2 is a dual eigenvalue, but the columns of B1* sum to 2, 3
+        # and 1, so the eigen and dual forms of p^k_{ij} differ
+        p = tmp_path / "disagree.params"
+        p.write_text("format: asx-params v1\nd: 2\nfield: Q\nc: 1 1\na: 0 0\nb: 2 2\n")
+        assert run(["--report", "json", "check", str(p)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        witness = "formulas disagree: p^0_{0,0}: 65/64 (eigen form) vs 25/16 (dual form)"
+        checks = {c["name"]: c for c in payload["checks"]}
+        for name in ("intersection-integrality", "intersection-column-sums"):
+            assert checks[name]["pass"] is False
+            assert checks[name]["witness"] == witness
+
+    def test_quadratic_entries_skip_the_eigensystem_checks(self, tmp_path, capsys):
+        p = tmp_path / "quad-entries.params"
+        p.write_text(QUAD_ENTRIES)
+        assert run(["--report", "json", "check", str(p)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["data"]["note"] == "quadratic field spec: eigensystem checks skipped"
+        assert payload["data"]["multiplicities"] == ["1", "2", "-1/2+1/2*sqrt(5)"]
+        assert [c["name"] for c in payload["checks"]] == [
+            "krein-nonnegativity",
+            "krein-column-sums",
+        ]
+
 
 class TestOrderings:
     def test_m5(self, m5_file, capsys):
@@ -191,6 +263,21 @@ class TestFuse:
 
     def test_partition_not_covering(self, m5_file, capsys):
         assert run(["fuse", m5_file, "--partition", "0|1,2"]) == 2
+
+    def test_partition_that_does_not_fuse(self, m5_file, capsys):
+        assert run(["fuse", m5_file, "--partition", "0|1,2|3,4,5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fusion is not well-defined: s^1_{1,1}: gamma=1 gives 32/3, gamma=2 gives 76/9\n"
+        )
+
+    def test_approx_irrational_multiplicity(self, tmp_path, capsys):
+        p = tmp_path / "quad-entries.params"
+        p.write_text(QUAD_ENTRIES)
+        assert run(["--approx", "fuse", str(p), "--partition", "0|1|2"]) == 0
+        out = capsys.readouterr().out
+        assert "fused multiplicities: 1 2 -1/2+1/2*sqrt(5) (~0.618034)\n" in out
 
 
 class TestCaseV:

@@ -117,6 +117,19 @@ class TestParseFile:
             parse_params_file(text)
         assert "does not match" in str(exc.value)
 
+    def test_declared_field_is_reduced(self):
+        # Q(sqrt 8) is Q(sqrt 2), and Q(sqrt 4) is Q
+        def spec(field, a2):
+            return parse_params_file(
+                f"format: asx-params v1\nd: 2\nfield: {field}\nc: 1 1\na: 0 {a2}\nb: 2 1\n"
+            )
+
+        assert spec("Q(sqrt 8)", "1+sqrt(8)") == spec("Q(sqrt 2)", "1+2*sqrt(2)")
+        assert spec("Q(sqrt 4)", "1") == spec("Q", "1")
+        with pytest.raises(ParseError) as exc:
+            spec("Q(sqrt 4)", "sqrt(2)")
+        assert "rational field" in str(exc.value)
+
     def test_comments_and_whitespace(self):
         text = "\n\n  # leading noise\n" + M5_TEXT + "   # trailing\n"
         assert parse_params_file(text) == casev_spec(5).spec
