@@ -23,6 +23,10 @@ Every radicand, the field's and each ``sqrt(D)`` literal's, must lie in
 trial division up to sqrt(D), and the bound keeps that below a second.  The
 declared field is reduced too, so ``Q(sqrt 8)`` declares Q(sqrt 2) and
 ``Q(sqrt 4)`` declares Q.
+
+Every integer in a file, ``d``, a radicand, a numerator or a denominator,
+has at most MAX_DIGITS (4300) digits, Python's default limit on converting
+between ``int`` and ``str``; a longer one is a ParseError at its token.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .scheme import KreinTridiagonal
 
 MAX_D = 16
 MAX_RADICAND = 10**12
+MAX_DIGITS = 4300
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _QUAD_RE = re.compile(
@@ -44,13 +49,22 @@ _QUAD_RE = re.compile(
 )
 
 
+def _int(text: str, line: int, col: int) -> int:
+    """``int(text)``; a digit string of more than MAX_DIGITS digits is a
+    ParseError at the token's line and column."""
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_DIGITS:
+        raise ParseError(f"integer of {digits} digits, more than {MAX_DIGITS}", line, col)
+    return int(text)
+
+
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
     if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
+        num, den = (_int(t, line, col) for t in text.split("/", 1))
+        if den == 0:
             raise ZeroDenominator(f"denominator zero in {text!r}", line, col)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(num, den)
+    return Fraction(_int(text, line, col))
 
 
 def parse_scalar(text: str, line: int = 0, col: int = 0):
@@ -70,7 +84,7 @@ def parse_scalar(text: str, line: int = 0, col: int = 0):
         coef = _parse_fraction(m.group("coef"), line, col)
     if m.group("sign") == "-":
         coef = -coef
-    rad = int(m.group("rad"))
+    rad = _int(m.group("rad"), line, col)
     if rad < 2:
         raise ParseError(f"radicand must be >= 2 in {text!r}", line, col)
     if rad > MAX_RADICAND:
@@ -112,7 +126,7 @@ def parse_params_file(text: str) -> KreinTridiagonal:
         raise ParseError(f"unsupported format {fmt!r}", lineno, col)
     dtext, lineno, col, _ = need("d")
     try:
-        d = int(dtext)
+        d = _int(dtext, lineno, col)
     except ValueError:
         raise ParseError(f"d must be an integer, got {dtext!r}", lineno, col)
     if d < 1:
@@ -126,7 +140,7 @@ def parse_params_file(text: str) -> KreinTridiagonal:
         fm = re.match(r"^Q\(sqrt (\d+)\)$", ftext)
         if not fm:
             raise ParseError(f"field must be 'Q' or 'Q(sqrt D)', got {ftext!r}", lineno, col)
-        declared = int(fm.group(1))
+        declared = _int(fm.group(1), lineno, col)
         if declared < 2:
             raise ParseError("field radicand must be >= 2", lineno, col)
         if declared > MAX_RADICAND:

@@ -1,11 +1,20 @@
 """Sparse multivariate polynomials and rational functions over the rationals.
 
-``MultiPoly`` stores a map from exponent vectors to nonzero Fraction
-coefficients, over a sorted tuple of variable names; unused variables are
-pruned, so equality is structural.  ``RatFunc`` keeps a gcd-reduced
-numerator/denominator pair with the denominator scaled to leading
-coefficient 1 under the graded-lex term order, making equality a structural
-comparison as well.
+``MultiPoly`` stores integer coefficients over one common denominator: a map
+``terms`` from exponent vectors to nonzero ints and a positive int ``den``
+sharing no factor with all of them, over a sorted tuple of variable names.
+Unused variables are pruned, so equality is structural.  Arithmetic,
+pruning and zero tests run on ints; a coefficient is a Fraction only in
+``coeff_list``, ``leading`` and ``str``.
+
+``RatFunc`` keeps ``c * n / d``: ``n`` and ``d`` are coprime primitive
+integer polynomials (content 1, positive leading coefficient under the
+graded-lex term order) and ``c`` is one rational scalar.  Sums and products
+follow Henrici (Knuth, TAOCP vol. 2, sec. 4.5.1): a sum takes the gcd of
+the denominators only, a product cancels crosswise, and the result is
+reduced without a gcd of its full numerator and denominator.  The public
+``num``/``den`` pair has the denominator scaled to leading coefficient 1,
+so equality is a structural comparison as well.
 
 The gcd is a primitive pseudo-remainder sequence with fast paths for
 constants, monomials and univariate inputs; the fast paths carry all the
@@ -21,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ComplexRoots, UnsupportedAlgebraicDegree
 from .scalars import exact_sqrt
@@ -30,55 +40,78 @@ def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
+def _poly(variables: tuple, terms: dict, den: int = 1) -> "MultiPoly":
+    """A MultiPoly from parts already in normal form (no zero coefficient,
+    every variable used, ``den`` coprime to the coefficients)."""
+    p = object.__new__(MultiPoly)
+    p.vars, p.terms, p.den = variables, terms, den
+    return p
+
+
+def _add_terms(t1: dict, t2: dict, a: int, b: int) -> dict:
+    """``a*t1 + b*t2`` on term maps over one variable tuple, zeros dropped."""
+    out = dict(t1) if a == 1 else {e: a * c for e, c in t1.items()}
+    for e, c in t2.items():
+        s = out.get(e, 0) + b * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
 class MultiPoly:
     """Multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
-    def __init__(self, variables=(), terms=None):
+    def __init__(self, variables=(), terms=None, den: int = 1):
         # Internal constructor: use the classmethods or arithmetic to build
-        # values; inputs are normalized (zero coefficients and unused
-        # variables dropped, variables sorted).
-        terms = {} if terms is None else terms
+        # values.  ``terms`` maps exponent vectors over the sorted
+        # ``variables`` to ints, the coefficients times ``den``; zero
+        # coefficients and unused variables are dropped, and the
+        # coefficients and ``den`` divided by their gcd.
         variables = tuple(variables)
         assert list(variables) == sorted(variables), "variables must be sorted"
-        self.vars = variables
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._prune()
-
-    def _prune(self):
-        if not self.terms:
-            self.vars = ()
-            return
-        used = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
-        if len(used) != len(self.vars):
-            self.vars = tuple(self.vars[i] for i in used)
-            self.terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
+        terms = terms or {}
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        if not terms:
+            variables, den = (), 1
+        elif den != 1 and (g := gcd(den, *terms.values())) != 1:
+            terms, den = {e: c // g for e, c in terms.items()}, den // g
+        used = [any(col) for col in zip(*terms)]
+        if not all(used):
+            variables = tuple(v for v, u in zip(variables, used) if u)
+            terms = {tuple(k for k, u in zip(e, used) if u): c for e, c in terms.items()}
+        self.vars, self.terms, self.den = variables, terms, den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def const(cls, value) -> "MultiPoly":
         value = Fraction(value)
-        return cls((), {(): value} if value else {})
+        return _poly((), {(): value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls((), {})
+        return _poly((), {})
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls.const(1)
+        return _poly((), {(): 1})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return _poly((name,), {(1,): 1})
 
     @classmethod
     def univariate(cls, name: str, coeffs) -> "MultiPoly":
         """Build sum(coeffs[k] * name**k)."""
-        terms = {(k,): Fraction(c) for k, c in enumerate(coeffs) if c != 0}
-        return cls((name,), terms)
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in coeffs))
+        return cls((name,), {(k,): c.numerator * (den // c.denominator)
+                             for k, c in enumerate(coeffs)}, den)
 
     # -- inspection -------------------------------------------------------
 
@@ -89,12 +122,7 @@ class MultiPoly:
         return not self.vars
 
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
-
-    def const_value(self) -> Fraction:
-        if self.vars:
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms == {(): 1} and self.den == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) <= 1
@@ -113,7 +141,7 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        return e, Fraction(self.terms[e], self.den)
 
     def leading_coeff(self) -> Fraction:
         return self.leading()[1]
@@ -150,59 +178,55 @@ class MultiPoly:
             return cls.const(x)
         return None
 
+    def _scaled(self, p: int, q: int = 1) -> "MultiPoly":
+        """``self * p / q`` for ints p and q > 0."""
+        if p == q:
+            return self
+        if not p or not self.terms:
+            return _poly((), {})
+        return MultiPoly(self.vars, {e: c * p for e, c in self.terms.items()}, self.den * q)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         vs, t1, t2 = self._align(o)
-        out = dict(t1)
-        for e, c in t2.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(vs, out)
+        den = lcm(self.den, o.den)
+        return MultiPoly(vs, _add_terms(t1, t2, den // self.den, den // o.den), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        if o.is_const():
-            v = o.const_value()
-            if v == 0:
-                return MultiPoly.zero()
-            return MultiPoly(self.vars, {e: c * v for e, c in self.terms.items()})
+        if other.is_const():
+            return self._scaled(other.terms.get((), 0), other.den)
         if self.is_const():
-            return o * self.const_value()
-        vs, t1, t2 = self._align(o)
+            return other._scaled(self.terms.get((), 0), self.den)
+        vs, t1, t2 = self._align(other)
         out: dict = {}
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(vs, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        if not all(out.values()):
+            out = {e: c for e, c in out.items() if c}
+        # a product keeps every variable of its factors, so nothing to prune
+        den = self.den * other.den
+        if den != 1:
+            return MultiPoly(vs, out, den)
+        return _poly(vs, out)
 
     __rmul__ = __mul__
 
@@ -220,7 +244,8 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            v = 1 / Fraction(other)
+            return self._scaled(v.numerator, v.denominator)
         if isinstance(other, MultiPoly):
             return RatFunc(self, other)
         return NotImplemented
@@ -229,10 +254,10 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.vars == o.vars and self.terms == o.terms
+        return self.vars == o.vars and self.den == o.den and self.terms == o.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -244,28 +269,21 @@ class MultiPoly:
 
         Returns a MultiPoly when no RatFunc value is involved, else RatFunc.
         """
-        rational_only = True
-        vals = {}
-        for k, v in mapping.items():
-            if isinstance(v, RatFunc):
-                rational_only = False
-                vals[k] = v
-            elif isinstance(v, MultiPoly):
-                vals[k] = v
-            else:
-                vals[k] = MultiPoly.const(v)
-        acc = RatFunc.zero() if not rational_only else MultiPoly.zero()
+        symbolic = any(isinstance(v, RatFunc) for v in mapping.values())
+        kind = RatFunc if symbolic else MultiPoly
+        vals = {k: v if isinstance(v, (MultiPoly, RatFunc)) else MultiPoly.const(v)
+                for k, v in mapping.items()}
+        powers: dict = {}
+        acc = kind.zero()
         for e, c in self.terms.items():
-            term = RatFunc.const(c) if not rational_only else MultiPoly.const(c)
+            term = kind.const(c)
             for name, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                base = vals.get(name)
-                if base is None:
-                    base = MultiPoly.var(name)
-                term = term * base ** k
+                if k:
+                    if (name, k) not in powers:
+                        powers[name, k] = vals.get(name, MultiPoly.var(name)) ** k
+                    term = term * powers[name, k]
             acc = acc + term
-        return acc
+        return acc / self.den if self.den != 1 else acc
 
     def eval_univariate(self, value):
         """Horner evaluation for polynomials in at most one variable.
@@ -276,28 +294,19 @@ class MultiPoly:
         if len(self.vars) > 1:
             raise ValueError("eval_univariate needs a univariate polynomial")
         coeffs = self.coeff_list()
-        acc = coeffs[-1] if coeffs else Fraction(0)
+        acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = acc * value + c
         return acc
 
     def coeff_list(self) -> list[Fraction]:
         """Dense coefficient list [c0, c1, ...] for <=1-variable polynomials."""
-        if len(self.vars) > 1:
-            raise ValueError("not univariate")
-        if not self.terms:
-            return [Fraction(0)]
-        if not self.vars:
-            return [self.const_value()]
-        deg = max(e[0] for e in self.terms)
-        out = [Fraction(0)] * (deg + 1)
-        for e, c in self.terms.items():
-            out[e[0]] = c
-        return out
+        return [Fraction(c, self.den) for c in _int_coeffs(self)]
 
     # -- display ------------------------------------------------------------
 
     def _term_str(self, e, c) -> str:
+        c = Fraction(c, self.den)
         parts = []
         for name, k in zip(self.vars, e):
             if k == 1:
@@ -327,6 +336,31 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+_ONE = MultiPoly.one()
+
+
+def _int_coeffs(p: MultiPoly) -> list[int]:
+    """Dense list of the integer terms of a <=1-variable polynomial."""
+    if len(p.vars) > 1:
+        raise ValueError("not univariate")
+    if not p.vars:
+        return [p.terms.get((), 0)]
+    out = [0] * (max(p.terms)[0] + 1)
+    for (k,), c in p.terms.items():
+        out[k] = c
+    return out
+
+
+def _split(p: MultiPoly) -> tuple[int, MultiPoly]:
+    """``(g, P)`` with ``p.terms`` equal to g times the terms of P, P
+    primitive in Z[vars] with positive leading coefficient."""
+    t = p.terms
+    g = gcd(*t.values())
+    if t[max(t, key=_grlex_key)] < 0:
+        g = -g
+    return g, _poly(p.vars, t if g == 1 else {e: c // g for e, c in t.items()})
+
+
 # -- exact division ---------------------------------------------------------
 
 
@@ -337,39 +371,40 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if f.is_zero():
         return MultiPoly.zero()
     if g.is_const():
-        return f * (Fraction(1) / g.const_value())
-    if g.is_monomial():
-        vs, tf, tg = f._align(g)
-        (eg, cg), = tg.items()
-        out = {}
-        for e, c in tf.items():
-            ee = tuple(a - b for a, b in zip(e, eg))
-            if any(k < 0 for k in ee):
-                raise ArithmeticError("not divisible (monomial)")
-            out[ee] = c / cg
-        return MultiPoly(vs, out)
+        c = g.terms[()]
+        return f._scaled(g.den, c) if c > 0 else f._scaled(-g.den, -c)
+    # f / g = (F / G) * g.den / (f.den * cg) for the integer terms F of f and
+    # G of g, G primitive with content cg; by Gauss's lemma F / G is integral
+    # whenever G divides F at all, so every leading division below is exact.
     vs, tf, tg = f._align(g)
-    # raw dict arithmetic over the fixed aligned variable tuple
+    cg = gcd(*tg.values())
+    if cg != 1:
+        tg = {e: c // cg for e, c in tg.items()}
     eg = max(tg, key=_grlex_key)
-    cg = tg[eg]
-    rem = dict(tf)
-    quo: dict = {}
-    while rem:
-        er = max(rem, key=_grlex_key)
-        cr = rem[er]
-        ee = tuple(a - b for a, b in zip(er, eg))
-        if any(k < 0 for k in ee):
-            raise ArithmeticError("not divisible")
-        cq = cr / cg
-        quo[ee] = quo.get(ee, Fraction(0)) + cq
-        for e2, c2 in tg.items():
-            e = tuple(a + b for a, b in zip(ee, e2))
-            s = rem.get(e, Fraction(0)) - cq * c2
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return MultiPoly(vs, quo)
+    lg = tg[eg]
+    if len(tg) == 1:  # a monomial, lg = +-1: shift every exponent down
+        quo = {tuple(map(sub, e, eg)): c * lg for e, c in tf.items()}
+        if min(map(min, quo)) < 0:
+            raise ArithmeticError("not divisible (monomial)")
+    else:
+        rem, quo = dict(tf), {}
+        while rem:
+            er = max(rem, key=_grlex_key)
+            q, r = divmod(rem[er], lg)
+            ee = tuple(map(sub, er, eg))
+            if r or min(ee) < 0:
+                raise ArithmeticError("not divisible")
+            quo[ee] = q
+            for e2, c2 in tg.items():
+                e = tuple(map(add, ee, e2))
+                s = rem.get(e, 0) - q * c2
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+    if g.den != 1:
+        quo = {e: c * g.den for e, c in quo.items()}
+    return MultiPoly(vs, quo, f.den * cg)
 
 
 def poly_divides(g: MultiPoly, f: MultiPoly) -> bool:
@@ -384,10 +419,12 @@ def poly_divides(g: MultiPoly, f: MultiPoly) -> bool:
 
 
 def _monic(p: MultiPoly) -> MultiPoly:
+    """``p`` scaled to leading coefficient 1: its primitive integer terms
+    over their (positive) leading coefficient."""
     if p.is_zero():
         return p
-    lc = p.leading_coeff()
-    return p if lc == 1 else p * (Fraction(1) / lc)
+    _, q = _split(p)
+    return _poly(q.vars, q.terms, q.terms[max(q.terms, key=_grlex_key)])
 
 
 def _min_exponents(exponents) -> tuple[int, ...]:
@@ -398,113 +435,55 @@ def _min_exponents(exponents) -> tuple[int, ...]:
 
 def _monomial_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     vs, tf, tg = f._align(g)
-    return MultiPoly(vs, {_min_exponents([*tf, *tg]): Fraction(1)})
+    return MultiPoly(vs, {_min_exponents([*tf, *tg]): 1})
 
 
-def _int_primitive(coeffs) -> tuple[int, list[int]]:
-    """Clear the denominators of rational coefficients and divide out the
-    content: ``(content, primitive integer list)``, content 0 for all zeros."""
-    coeffs = list(coeffs)
-    den = lcm(1, *(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = gcd(*ints)
-    return g, ([v // g for v in ints] if g > 1 else ints)
+def _primitive_list(xs: list[int]) -> list[int]:
+    g = gcd(*xs)
+    return [v // g for v in xs] if g > 1 else xs
 
 
-def _primitive_poly(p: MultiPoly) -> MultiPoly:
-    """``p`` scaled to integer coefficients with content 1."""
-    _, ints = _int_primitive(p.terms.values())
-    return MultiPoly(p.vars, dict(zip(p.terms, map(Fraction, ints))))
+def _upoly(name: str, coeffs: list[int]) -> MultiPoly:
+    return MultiPoly((name,), {(k,): c for k, c in enumerate(coeffs)})
 
 
-def _univar_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Primitive pseudo-remainder sequence over the integers.
+def _prs(a: list, b: list, primitive) -> list:
+    """Primitive pseudo-remainder sequence of two primitive dense coefficient
+    lists, lowest power first, with int or MultiPoly entries; returns its
+    last nonzero member.
 
-    Keeps coefficients integral and content-reduced at each step, avoiding
-    the blowup of naive rational Euclid.
+    Each remainder is taken after multiplying through by lc(b), so it stays
+    in the coefficient ring, and ``primitive`` divides out its content,
+    avoiding the blowup of naive rational Euclid.
     """
-    name = (f.vars or g.vars)[0]
-
-    def strip(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    def prem(x, y):
-        # pseudo-remainder: multiply through by lc(y) at each step
-        x = x[:]
-        dy = len(y) - 1
-        lcy = y[-1]
-        while strip(x) and len(x) - 1 >= dy:
-            lead = x[-1]
-            shift = len(x) - len(y)
-            x = [lcy * v for v in x]
-            for i, cy in enumerate(y):
-                x[i + shift] -= lead * cy
-            x.pop()
-        return strip(x)
-
-    a = strip(_int_primitive(f.coeff_list())[1])
-    b = strip(_int_primitive(g.coeff_list())[1])
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _int_primitive(prem(a, b))[1]
-    return _monic(MultiPoly.univariate(name, [Fraction(v) for v in a]))
+        x = a[:]
+        while len(x) >= len(b):
+            lead, shift = x[-1], len(x) - len(b)
+            x = [b[-1] * v for v in x]
+            for i, cy in enumerate(b):
+                x[i + shift] -= lead * cy
+            while x and not x[-1]:
+                x.pop()
+        a, b = b, primitive(x) if x else x
+    return a
 
 
-def _to_univar(p: MultiPoly, name: str) -> dict[int, MultiPoly]:
-    """View p as a univariate polynomial in `name` with MultiPoly coefficients."""
+def _coeffs_in(p: MultiPoly, name: str) -> list[MultiPoly]:
+    """p as a dense list of MultiPoly coefficients of the powers of `name`."""
     i = p.vars.index(name)
-    rest = p.vars[:i] + p.vars[i + 1:]
-    out: dict[int, dict] = {}
+    out: list[dict] = [{} for _ in range(p.degree_in(name) + 1)]
     for e, c in p.terms.items():
-        k = e[i]
-        ee = e[:i] + e[i + 1:]
-        out.setdefault(k, {})[ee] = c
-    return {k: MultiPoly(rest, t) for k, t in out.items()}
+        out[e[i]][e[:i] + e[i + 1:]] = c
+    return [MultiPoly(p.vars[:i] + p.vars[i + 1:], t, p.den) for t in out]
 
 
-def _from_univar(coeffs: dict[int, MultiPoly], name: str) -> MultiPoly:
-    acc = MultiPoly.zero()
-    x = MultiPoly.var(name)
-    for k, c in coeffs.items():
-        acc = acc + c * x ** k
-    return acc
-
-
-def _udeg(coeffs: dict[int, MultiPoly]) -> int:
-    return max((k for k, c in coeffs.items() if not c.is_zero()), default=-1)
-
-
-def _uclean(coeffs: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
-    return {k: c for k, c in coeffs.items() if not c.is_zero()}
-
-
-def _prem(F: dict[int, MultiPoly], G: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
-    """Pseudo-remainder of F by G (univariate views, MultiPoly coefficients)."""
-    F = dict(F)
-    dG = _udeg(G)
-    lcG = G[dG]
-    dF = _udeg(F)
-    while dF >= dG and dF >= 0:
-        lcF = F[dF]
-        shift = dF - dG
-        newF: dict[int, MultiPoly] = {}
-        for k, c in F.items():
-            if k == dF:
-                continue
-            newF[k] = c * lcG
-        for k, c in G.items():
-            if k == dG:
-                continue
-            kk = k + shift
-            newF[kk] = newF.get(kk, MultiPoly.zero()) - c * lcF
-        F = _uclean(newF)
-        newdF = _udeg(F)
-        assert newdF < dF, "pseudo-division failed to reduce degree"
-        dF = newdF
-    return F
+def _content_free(coeffs: list[MultiPoly]) -> tuple[MultiPoly, list[MultiPoly]]:
+    """``(content, coefficients divided by it)``; the content is their gcd."""
+    content = reduce(poly_gcd, coeffs)
+    return content, [poly_exact_div(c, content) for c in coeffs]
 
 
 class _HeuristicFailed(Exception):
@@ -514,56 +493,40 @@ class _HeuristicFailed(Exception):
 def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
     """Integer-polynomial gcd by evaluation at a big point (GCDHEU).
 
-    Content-inclusive over Z[vars]; candidates are reconstructed from
-    balanced base-xi digits and verified by trial division, so a returned
-    value is always correct.  Raises _HeuristicFailed when the retries run
-    out; callers fall back to the pseudo-remainder sequence.
+    Content-inclusive over Z[vars] for integer inputs (``den`` 1);
+    candidates are reconstructed from balanced base-xi digits and verified
+    by trial division, so a returned value is always correct.  Raises
+    _HeuristicFailed when the retries run out; callers fall back to the
+    pseudo-remainder sequence.
     """
     if f.is_zero() or g.is_zero():
         return g if f.is_zero() else f
-    content = gcd(_int_primitive(f.terms.values())[0], _int_primitive(g.terms.values())[0])
+    content = gcd(*f.terms.values(), *g.terms.values())
     if f.is_const() or g.is_const():
         return MultiPoly.const(content)
     if depth > 8:
         raise _HeuristicFailed
     vs = sorted(set(f.vars) | set(g.vars))
     main = vs[0]
-    norm = max(
-        max(abs(c) for c in f.terms.values()),
-        max(abs(c) for c in g.terms.values()),
-    )
-    xi = 2 * int(norm) + 29
+    norm = max(*map(abs, f.terms.values()), *map(abs, g.terms.values()))
+    xi = 2 * norm + 29
     dbound = min(f.degree_in(main), g.degree_in(main)) + 1
     for _ in range(6):
-        fe = f.subs({main: Fraction(xi)})
-        ge = g.subs({main: Fraction(xi)})
-        h_e = _gcdheu(fe, ge, depth + 1)
+        h_e = _gcdheu(f.subs({main: xi}), g.subs({main: xi}), depth + 1)
         # reconstruct the main-variable dependence from balanced digits
         h = MultiPoly.zero()
         cur = h_e
         i = 0
-        ok = True
-        while not cur.is_zero():
-            if i > dbound:
-                ok = False
-                break
-            digit_terms = {}
+        while not cur.is_zero() and i <= dbound:
+            digits = {}
             for e, c in cur.terms.items():
-                r = int(c) % xi
-                if r > xi // 2:
-                    r -= xi
-                if r:
-                    digit_terms[e] = Fraction(r)
-            digit = MultiPoly(cur.vars, dict(digit_terms))
-            if not digit.is_zero():
-                h = h + digit * MultiPoly.var(main) ** i
-            cur = (cur - digit) * Fraction(1, xi)
-            if any(c.denominator != 1 for c in cur.terms.values()):
-                ok = False
-                break
+                r = c % xi
+                digits[e] = r - xi if r > xi // 2 else r
+            h = h + MultiPoly(cur.vars, digits) * MultiPoly.var(main) ** i
+            cur = MultiPoly(cur.vars, {e: (c - digits[e]) // xi for e, c in cur.terms.items()})
             i += 1
-        if ok and not h.is_zero():
-            h = _primitive_poly(h)
+        if cur.is_zero() and not h.is_zero():
+            h = _split(h)[1]
             if poly_divides(h, f) and poly_divides(h, g):
                 return h * content
         xi = xi * 73794 // 27011
@@ -571,7 +534,11 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd over Q[x1..xn] (returns 1 for coprime or constant inputs)."""
+    """Monic gcd over Q[x1..xn] (returns 1 for coprime or constant inputs).
+
+    Its integer terms are the primitive gcd over Z with positive leading
+    coefficient, and its ``den`` is that coefficient.
+    """
     if f.is_zero():
         return _monic(g) if not g.is_zero() else MultiPoly.zero()
     if g.is_zero():
@@ -584,16 +551,17 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     # strip common monomial content first: cheap and typical for ladder data
     mins_f, mins_g = _min_exponents(tf), _min_exponents(tg)
     if any(mins_f) or any(mins_g):
-        tf = {tuple(a - b for a, b in zip(e, mins_f)): c for e, c in tf.items()}
-        tg = {tuple(a - b for a, b in zip(e, mins_g)): c for e, c in tg.items()}
+        tf = {tuple(map(sub, e, mins_f)): c for e, c in tf.items()}
+        tg = {tuple(map(sub, e, mins_g)): c for e, c in tg.items()}
         common = _min_exponents((mins_f, mins_g))
         core = poly_gcd(MultiPoly(vs, tf), MultiPoly(vs, tg))
         if any(common):
-            core = core * MultiPoly(vs, {common: Fraction(1)})
+            core = core * _poly(vs, {common: 1})
         return _monic(core)
     if len(vs) == 1:
-        return _univar_gcd(MultiPoly(vs, tf), MultiPoly(vs, tg))
-    # multivariate: primitive PRS in one variable
+        a, b = (_primitive_list(_int_coeffs(_poly(vs, t))) for t in (tf, tg))
+        return _monic(_upoly(vs[0], _prs(a, b, _primitive_list)))
+    # multivariate: primitive PRS in one variable, on the integer terms
     fa, ga = MultiPoly(vs, tf), MultiPoly(vs, tg)
     # divisibility fast paths keep the common cases cheap
     if poly_divides(ga, fa):
@@ -602,7 +570,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _monic(fa)
     # heuristic gcd first (verified by trial division, so always sound)
     try:
-        return _monic(_gcdheu(_primitive_poly(fa), _primitive_poly(ga)))
+        return _monic(_gcdheu(_split(fa)[1], _split(ga)[1]))
     except _HeuristicFailed:
         pass
     # choose the main variable with the smallest degree bound
@@ -612,44 +580,44 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     )
     if fa.degree_in(main) == 0 or ga.degree_in(main) == 0:
         # main variable missing from one input; gcd divides its coefficients
-        inner = fa if fa.degree_in(main) == 0 else ga
-        outer = ga if inner is fa else fa
-        cont = reduce(poly_gcd, _to_univar(outer, main).values())
-        return _monic(poly_gcd(inner, cont))
-    F = _to_univar(fa, main)
-    G = _to_univar(ga, main)
-    contF = reduce(poly_gcd, F.values())
-    contG = reduce(poly_gcd, G.values())
-    cont = poly_gcd(contF, contG)
-    Fp = {k: poly_exact_div(c, contF) for k, c in F.items()}
-    Gp = {k: poly_exact_div(c, contG) for k, c in G.items()}
-    A, B = (Fp, Gp) if _udeg(Fp) >= _udeg(Gp) else (Gp, Fp)
-    while True:
-        R = _prem(A, B)
-        if not R:
-            break
-        if _udeg(R) == 0:
-            B = {0: MultiPoly.one()}
-            break
-        contR = reduce(poly_gcd, R.values())
-        R = {k: poly_exact_div(c, contR) for k, c in R.items()}
-        A, B = B, R
-    pp = _from_univar(B, main)
-    return _monic(pp * cont)
+        inner, outer = (fa, ga) if fa.degree_in(main) == 0 else (ga, fa)
+        return poly_gcd(inner, reduce(poly_gcd, _coeffs_in(outer, main)))
+    (cf, F), (cg, G) = _content_free(_coeffs_in(fa, main)), _content_free(_coeffs_in(ga, main))
+    B = _prs(F, G, lambda r: _content_free(r)[1])
+    x = MultiPoly.var(main)
+    return _monic(sum((c * x ** k for k, c in enumerate(B)), MultiPoly.zero()) * poly_gcd(cf, cg))
 
 
 # -- rational functions -------------------------------------------------------
 
 
-class RatFunc:
-    """Quotient of two MultiPoly values, kept in a canonical reduced form.
+def _ratfunc(c: Fraction, n: MultiPoly, d: MultiPoly) -> "RatFunc":
+    """A RatFunc from parts already in normal form."""
+    r = object.__new__(RatFunc)
+    r._c, r._n, r._d = c, n, d
+    return r
 
-    The stored pair has gcd 1 and the denominator's leading coefficient
-    (graded lex) equal to 1, so ``==`` is structural and agrees with the
-    cross-multiplication test.
+
+def _common(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The primitive gcd of two primitive integer polynomials."""
+    if a.is_const() or b.is_const():
+        return _ONE
+    g = poly_gcd(a, b)
+    return _poly(g.vars, g.terms)
+
+
+def _quo(a: MultiPoly, g: MultiPoly) -> MultiPoly:
+    return a if g.is_const() else poly_exact_div(a, g)
+
+
+class RatFunc:
+    """Quotient of two polynomials, kept as ``c * n / d`` in a canonical
+    reduced form (see the module docstring), so ``==`` is structural and
+    agrees with the cross-multiplication test.  Zero is ``c = 0``,
+    ``n = d = 1``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_c", "_n", "_d")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, MultiPoly) else MultiPoly.const(num)
@@ -659,64 +627,64 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num = MultiPoly.zero()
-            self.den = MultiPoly.one()
+            self._c, self._n, self._d = Fraction(0), _ONE, _ONE
             return
-        if not den.is_one():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
+        gn, n = _split(num)
+        gd, d = _split(den)
+        g = _common(n, d)
+        self._c = Fraction(gn * den.den, gd * num.den)
+        self._n, self._d = _quo(n, g), _quo(d, g)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value) -> "RatFunc":
-        return cls(MultiPoly.const(value))
+        return _ratfunc(value if isinstance(value, Fraction) else Fraction(value), _ONE, _ONE)
 
     @classmethod
     def zero(cls) -> "RatFunc":
-        return cls(MultiPoly.zero())
+        return cls.const(0)
 
     @classmethod
     def one(cls) -> "RatFunc":
-        return cls(MultiPoly.one())
+        return cls.const(1)
 
     @classmethod
     def var(cls, name: str) -> "RatFunc":
-        return cls(MultiPoly.var(name))
+        return _ratfunc(Fraction(1), MultiPoly.var(name), _ONE)
 
     @classmethod
     def _coerce(cls, x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction, MultiPoly)):
-            return cls(x if isinstance(x, MultiPoly) else MultiPoly.const(x))
+        if isinstance(x, (int, Fraction)):
+            return cls.const(x)
+        if isinstance(x, MultiPoly):
+            return cls(x)
         return None
 
     # -- inspection ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    @property
+    def num(self) -> MultiPoly:
+        """The numerator over the denominator ``den`` of leading coefficient 1."""
+        if not self._c:
+            return MultiPoly.zero()
+        d = self._d.terms
+        v = self._c / d[max(d, key=_grlex_key)]
+        return _poly(self._n.vars, {e: c * v.numerator for e, c in self._n.terms.items()},
+                     v.denominator)
 
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+    @property
+    def den(self) -> MultiPoly:
+        """The denominator scaled to leading coefficient 1 (graded lex)."""
+        return _monic(self._d)
+
+    def is_zero(self) -> bool:
+        return not self._c
 
     def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return self._d.is_const()
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -724,70 +692,89 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o._c:
+            return self
+        if not self._c:
+            return o
+        # Henrici: with g = gcd(d1, d2) and d_i = g e_i, the sum is
+        # (c1 n1 e2 + c2 n2 e1) / (e1 e2 g), and only g can share a factor
+        # with that numerator.
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            g, e1, e2 = d1, _ONE, _ONE
+        else:
+            g = _common(d1, d2)
+            e1, e2 = _quo(d1, g), _quo(d2, g)
+        c1, c2 = self._c, o._c
+        q = lcm(c1.denominator, c2.denominator)
+        vs, t1, t2 = (self._n * e2)._align(o._n * e1)
+        t = _add_terms(t1, t2, c1.numerator * (q // c1.denominator),
+                       c2.numerator * (q // c2.denominator))
+        if not t:
+            return RatFunc.zero()
+        k, n = _split(MultiPoly(vs, t))
+        h = _common(n, g)
+        return _ratfunc(Fraction(k, q), _quo(n, h), e1 * e2 * _quo(g, h))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _ratfunc(-self._c, self._n, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not self._c or not o._c:
+            return RatFunc.zero()
+        # Henrici: cancel each numerator against the other denominator
+        g1, g2 = _common(self._n, o._d), _common(o._n, self._d)
+        return _ratfunc(
+            self._c * o._c,
+            _quo(self._n, g1) * _quo(o._n, g2),
+            _quo(self._d, g2) * _quo(o._d, g1),
+        )
 
     __rmul__ = __mul__
+
+    def _inverse(self) -> "RatFunc":
+        if not self._c:
+            raise ZeroDivisionError("division by zero rational function")
+        return _ratfunc(1 / self._c, self._d, self._n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return o * self._inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return RatFunc.one() / self ** (-n)
-        out = object.__new__(RatFunc)
-        out.num = self.num ** n
-        out.den = self.den ** n
-        return out
+            return self._inverse() ** (-n)
+        return _ratfunc(self._c ** n, self._n ** n, self._d ** n)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._c == o._c and self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._c, self._n, self._d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -795,16 +782,14 @@ class RatFunc:
     # -- substitution -----------------------------------------------------------
 
     def subs(self, mapping: dict) -> "RatFunc":
-        num = self.num.subs(mapping)
-        den = self.den.subs(mapping)
-        num = num if isinstance(num, RatFunc) else RatFunc(num)
-        den = den if isinstance(den, RatFunc) else RatFunc(den)
-        return num / den
+        num = RatFunc._coerce(self._n.subs(mapping))
+        den = RatFunc._coerce(self._d.subs(mapping))
+        return num * self._c / den
 
     # -- display ------------------------------------------------------------------
 
     def __str__(self):
-        if self.den.is_one():
+        if self._d.is_const():
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -835,7 +820,7 @@ def _ueval(coeffs, x):
     return acc
 
 
-def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[int]]:
+def _rational_roots(coeffs: list[int]) -> tuple[list[Fraction], list[int]]:
     """Strip all rational roots (with multiplicity).
 
     Returns ``(roots, rest)``, ``rest`` the primitive integer model of what
@@ -844,7 +829,7 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[int]]:
     when the homogeneous sum sum_i a_i p^i q^(n-i) vanishes; and then f
     deflates exactly by q x - p in Z[x], by Gauss's lemma.
     """
-    _, f = _int_primitive(coeffs)
+    f = _primitive_list(coeffs)
     roots: list[Fraction] = []
     while f[0] == 0 and len(f) > 1:
         roots.append(Fraction(0))
@@ -953,10 +938,8 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
     if len(p.vars) > 1:
         raise ValueError("factor_low_degree needs a univariate polynomial")
     name = p.vars[0] if p.vars else "x"
-    coeffs = p.coeff_list()
-    lc = coeffs[-1]
-    roots, rest = _rational_roots(coeffs)
-    factors = [MultiPoly.univariate(name, [-r, Fraction(1)]) for r in roots]
+    roots, rest = _rational_roots(_int_coeffs(p))
+    factors = [_monic(_upoly(name, [-r.numerator, r.denominator])) for r in roots]
     while len(rest) - 1 >= 3:
         if (len(rest) - 1) % 2:
             # odd degree with no rational root: an odd irreducible remains
@@ -969,11 +952,11 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
                 f"irreducible factor of degree >= 3 in {p}"
             )
         quad, rest = hit
-        factors.append(_monic(MultiPoly.univariate(name, quad)))
+        factors.append(_monic(_upoly(name, quad)))
     if len(rest) > 1:
-        factors.append(_monic(MultiPoly.univariate(name, rest)))
+        factors.append(_monic(_upoly(name, rest)))
     factors.sort(key=lambda f: (f.total_degree(), f.coeff_list()))
-    return lc, factors
+    return p.leading_coeff(), factors
 
 
 def roots_low_degree(p: MultiPoly) -> list:

@@ -207,6 +207,36 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "field, a, b, message",
+        [
+            ("Q", "0 0", "2 " + "9" * 5000, "line 6, col 6: integer of 5000 digits, more than 4300"),
+            ("Q", "0 0", "2 1/" + "9" * 5000, "line 6, col 6: integer of 5000 digits, more than 4300"),
+            (
+                "Q(sqrt " + "7" * 5000 + ")",
+                "0 0",
+                "2 1",
+                "line 3, col 8: integer of 5000 digits, more than 4300",
+            ),
+            (
+                "Q(sqrt 3)",
+                "0 sqrt(" + "3" * 5000 + ")",
+                "2 1",
+                "line 5, col 6: integer of 5000 digits, more than 4300",
+            ),
+        ],
+        ids=["integer", "denominator", "field-radicand", "literal-radicand"],
+    )
+    def test_integer_past_the_digit_limit_is_an_input_error(
+        self, tmp_path, capsys, field, a, b, message
+    ):
+        # Python refuses by default to convert a string of more than 4300
+        # digits to int; the parser reports such an integer at its token.
+        p = tmp_path / "long-integer.params"
+        p.write_text(f"format: asx-params v1\nd: 2\nfield: {field}\nc: 1 1\na: {a}\nb: {b}\n")
+        assert run(["check", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_intersection_formulas_disagree(self, tmp_path, capsys):
         # b0* = 2 is a dual eigenvalue, but the columns of B1* sum to 2, 3
         # and 1, so the eigen and dual forms of p^k_{ij} differ

@@ -1,5 +1,5 @@
-"""Golden outputs: the six README invocations and the four demo scripts,
-byte for byte.
+"""Golden outputs: the six README invocations, the four demo scripts and
+every entry of the two symbolic Krein ladders, byte for byte.
 
 Each CLI case runs ``asx`` in-process from the repository root, in both
 report formats, and compares stdout and the exit code with the files under
@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from asx.casev import _free_tridiagonal, casev_spec
 from asx.cli import run
+from asx.scheme import krein_ladder
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,3 +50,37 @@ def test_demo_script(name, monkeypatch, capsys):
     runpy.run_path(str(ROOT / "demos" / f"{name}.py"), run_name="__main__")
     expected = (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def _ladder_text(title, tensor):
+    """One line per Krein parameter q^k_ij = (Bi*)[j, k], in (i, j, k) order."""
+    d = tensor.d
+    lines = [f"# {title}"]
+    for i in range(d + 1):
+        for j in range(d + 1):
+            for k in range(d + 1):
+                lines.append(f"q^{k}_{{{i},{j}}} = {tensor.q(i, j, k)}")
+    return "\n".join(lines) + "\n"
+
+
+def _casev_ladder():
+    return _ladder_text("krein_ladder(casev_spec(None).spec)", krein_ladder(casev_spec(None).spec))
+
+
+def _section32_ladders():
+    # the two ladders derive_section32 reads its steps 2-4 from
+    return "".join(
+        _ladder_text(f"krein_ladder(_free_tridiagonal({subs}))", krein_ladder(_free_tridiagonal(subs)))
+        for subs in ({"b4": 1}, {"b4": 1, "a3": 0})
+    )
+
+
+LADDERS = {"ladder-casev.txt": _casev_ladder, "ladder-section32.txt": _section32_ladders}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_symbolic_ladder_entries(name):
+    # Every entry of the symbolic ladders as printed, not only the handful the
+    # transcripts show: pins term order, signs and the normalised form.
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert LADDERS[name]() == expected

@@ -176,8 +176,8 @@ def test_elimination_agrees_with_sympy(field):
         num, den = (
             sum(
                 (
-                    sympy.Rational(c.numerator, c.denominator) * m_sym ** (e[0] if e else 0)
-                    for e, c in p.terms.items()
+                    sympy.Rational(c.numerator, c.denominator) * m_sym**k
+                    for k, c in enumerate(p.coeff_list())
                 ),
                 sympy.Integer(0),
             )

@@ -1,6 +1,7 @@
 import random
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,13 +37,35 @@ fractions = st.builds(
 )
 
 
+def _from_terms(names, terms):
+    """sum(c * prod(name**k)) over the (exponents, c) pairs of ``terms``."""
+    out = MultiPoly.zero()
+    for e, c in terms:
+        term = MultiPoly.const(c)
+        for name, k in zip(names, e):
+            term = term * MultiPoly.var(name) ** k
+        out = out + term
+    return out
+
+
+def _terms_of(p):
+    """The (exponents over p.vars, coefficient) pairs of p, leading term first."""
+    out, names = [], p.vars
+    while not p.is_zero():
+        e, c = p.leading()
+        exps = tuple(dict(zip(p.vars, e)).get(name, 0) for name in names)
+        out.append((exps, c))
+        p = p - _from_terms(names, [(exps, c)])
+    return out
+
+
 @st.composite
 def polys(draw, names=("u", "v", "w"), max_terms=4, max_exp=3):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         e = tuple(draw(st.integers(0, max_exp)) for _ in names)
         terms[e] = draw(fractions)
-    return MultiPoly(tuple(sorted(names)), terms)
+    return _from_terms(names, terms.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,33 +143,24 @@ def test_gcd_agrees_with_sympy(path, monkeypatch):
         monkeypatch.setattr(poly, "_gcdheu", give_up)
     rng = random.Random(6)
 
-    def build(names, terms):
-        out = MultiPoly.zero()
-        for e, c in terms:
-            term = MultiPoly.const(c)
-            for name, k in zip(names, e):
-                term = term * MultiPoly.var(name) ** k
-            out = out + term
-        return out
-
     def random_poly(names):
         terms = {}
         for _ in range(rng.randint(2, 3)):
             e = tuple(rng.randint(0, 2) for _ in names)
             terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
-        return build(names, terms.items())
+        return _from_terms(names, terms.items())
 
     def to_sympy(p):
         syms = sympy.symbols(p.vars) if p.vars else ()
         return sum(
             (sympy.Rational(c.numerator, c.denominator) * sympy.prod([v**k for v, k in zip(syms, e)])
-             for e, c in p.terms.items()),
+             for e, c in _terms_of(p)),
             sympy.Integer(0),
         )
 
     def from_sympy(expr, names):
         terms = sympy.Poly(expr, *sympy.symbols(names)).terms()
-        return build(names, [(e, Fraction(int(c.p), int(c.q))) for e, c in terms])
+        return _from_terms(names, [(e, Fraction(int(c.p), int(c.q))) for e, c in terms])
 
     cases = []
     for names in [("m", "u"), ("m", "u", "v")] * 8:
@@ -314,3 +328,105 @@ class TestFactorLowDegree:
         assert QuadraticNumber(-2, Fraction(-1, 3), 21) in roots
         with pytest.raises(ComplexRoots):
             roots_low_degree(x * x + 1)
+
+
+def _differential_cases(sympy):
+    """Seeded (value, sympy mirror) pairs: sums, differences, products,
+    quotients and substitutions of MultiPoly and RatFunc values in 1-3
+    variables, plus combinations of the symbolic casev_spec entries."""
+    rng = random.Random(8)
+    syms = {name: sympy.Symbol(name) for name in ("m", "u", "v")}
+
+    def coeff():
+        return Fraction(rng.choice([-6, -5, -3, -2, -1, 1, 2, 3, 4, 7]), rng.choice([1, 1, 2, 3, 5]))
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def poly_pair(names, max_terms=3):
+        p, e = MultiPoly.zero(), sympy.Integer(0)
+        for _ in range(rng.randint(1, max_terms)):
+            c = coeff()
+            term, expr = MultiPoly.const(c), rational(c)
+            for name in names:
+                k = rng.randint(0, 2)
+                term, expr = term * MultiPoly.var(name) ** k, expr * syms[name] ** k
+            p, e = p + term, e + expr
+        return p, e
+
+    def ratfunc_pair(names):
+        (p, pe), (q, qe) = poly_pair(names), poly_pair(names, 2)
+        while q.is_zero():
+            q, qe = poly_pair(names, 2)
+        return RatFunc(p, q), pe / qe
+
+    mm, ms = RatFunc.var("m"), syms["m"]
+    family = [  # the entries of casev_spec(None), built the same way
+        ((mm - 1) / 2, (ms - 1) / 2),
+        (2 * mm / (mm + 1), 2 * ms / (ms + 1)),
+        (2 * (mm - 1) / (mm + 1), 2 * (ms - 1) / (ms + 1)),
+        ((mm - 1) ** 2 / (2 * (mm + 1)), (ms - 1) ** 2 / (2 * (ms + 1))),
+        ((mm - 1) ** 2 / (mm + 1), (ms - 1) ** 2 / (ms + 1)),
+        (mm * (mm - 1) / (mm + 1), ms * (ms - 1) / (ms + 1)),
+    ]
+
+    def operand(names):
+        kind = rng.random()
+        if names == ("m",) and kind < 0.4:
+            return rng.choice(family)
+        if kind < 0.7:
+            return ratfunc_pair(names)
+        return poly_pair(names)
+
+    ops = [
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        lambda a, b: (a[0] - b[0], a[1] - b[1]),
+        lambda a, b: (a[0] * b[0], a[1] * b[1]),
+        lambda a, b: (a[0] / b[0], a[1] / b[1]),
+        # cancelling forms: the last sum or product shares a factor with the
+        # denominator, which the normal form must divide out
+        lambda a, b: ((a[0] + b[0]) - b[0], (a[1] + b[1]) - b[1]),
+        lambda a, b: (a[0] * b[0] / b[0], a[1] * b[1] / b[1]),
+    ]
+    cases = []
+    for names in [("m",), ("m", "u"), ("m", "u", "v")] * 32:
+        a, b = operand(names), operand(names)
+        if rng.random() < 0.25:
+            # substitute one variable of a by b, or by a rational number
+            name = rng.choice(names)
+            if rng.random() < 0.5:
+                c = coeff()
+                cases.append((a[0].subs({name: c}), a[1].subs(syms[name], rational(c))))
+            else:
+                cases.append((a[0].subs({name: b[0]}), a[1].subs(syms[name], b[1])))
+            continue
+        op = rng.choice(ops)
+        if op in (ops[3], ops[5]) and b[0].is_zero():
+            continue
+        cases.append(op(a, b))
+    return cases, [syms[n] for n in ("m", "u", "v")]
+
+
+def test_arithmetic_agrees_with_sympy():
+    # Each value's numerator and denominator equal sympy's cancel(), with the
+    # denominator scaled to graded-lex leading coefficient 1, and each value
+    # prints as pinned in tests/golden/ratfunc-differential.txt.
+    sympy = pytest.importorskip("sympy")
+    cases, gens = _differential_cases(sympy)
+
+    def from_sympy(expr):
+        terms = sympy.Poly(expr, *gens).terms()
+        return _from_terms(("m", "u", "v"), [(e, Fraction(int(c.p), int(c.q))) for e, c in terms])
+
+    printed = []
+    for value, expr in cases:
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        lc = sympy.Poly(den, *gens).LC(order="grlex")
+        want_num, want_den = from_sympy(num / lc), from_sympy(den / lc)
+        if isinstance(value, MultiPoly):
+            assert want_den.is_one() and value == want_num, (value, expr)
+        else:
+            assert (value.num, value.den) == (want_num, want_den), (value, expr)
+        printed.append(str(value))
+    golden = Path(__file__).resolve().parent / "golden" / "ratfunc-differential.txt"
+    assert printed == golden.read_text(encoding="utf-8").splitlines()
