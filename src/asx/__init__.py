@@ -57,7 +57,6 @@ from .scheme import (
     fuse,
     intersection_tensor,
     krein_ladder,
-    relabel_tensor,
     scheme_params,
     tridiagonal_from_tensor,
 )

@@ -31,15 +31,15 @@ from .errors import (
     ConsistencyFailure,
     DegenerateParameter,
     InvalidParameter,
-    RepeatedEigenvalue,
     StepFailure,
     VerificationFailure,
 )
 from .linalg import Matrix, nullspace, scalar_is_zero
-from .poly import RatFunc
-from .scalars import QuadraticNumber, exact_sqrt, format_scalar, is_integer_scalar
+from .poly import RatFunc, roots_low_degree
+from .scalars import QuadraticNumber, exact_sqrt, is_integer_scalar
 from .scheme import (
     FusionPartition,
+    KreinTensor,
     KreinTridiagonal,
     Ordering,
     feasibility_report,
@@ -473,80 +473,70 @@ class CaseVFusionResult:
     matches_expected_s: bool
 
 
-def _fused_eigenmatrix_by_eigenvectors(c1: Matrix) -> Matrix:
-    """Rows of S as eigenvectors of the fused first Krein matrix.
+def _fused_eigenmatrix(fused: KreinTensor, mults: tuple) -> Matrix:
+    """Second eigenmatrix of a fusion, read off its Krein matrices alone.
 
-    Each row u of the second eigenmatrix satisfies ``C1* u^T = s1 u^T``, so
-    when the eigenvalues of C1* are distinct the rows are the one-
-    dimensional nullspaces, scaled to leading coordinate 1.  The
-    eigenvalues (2m, 2 and a conjugate pair over the square-free part of
-    (m^2-2m+9)(9m^2-2m+1)) come from the quartic characteristic polynomial.
-    Raises RepeatedEigenvalue at parameter coincidences; callers fall back
-    to the signature construction.
+    Every row u of S is a character of the fused Krein algebra:
+    ``sum_k s^k_ij u_k = u_i u_j``, that is ``Ci* u^T = u_i u^T`` for every
+    i.  So the rows are the eigenvectors, scaled to ``u_0 = 1``, of
+    ``M_t = C1* + t C2* + ... + t^(e-1) Ce*`` at the first t = 0, 1, 2, ...
+    where M_t has e + 1 distinct eigenvalues.  Row u has eigenvalue
+    ``sum_i u_i t^(i-1)``, so two distinct rows agree at no more than e - 1
+    values of t, and one of the first (e-1) C(e+1, 2) + 1 values separates
+    every pair.  Each row is then checked against every ``s^k_ij``; the
+    principal row (the one equal to the fused multiplicities) comes first.
+    Raises VerificationFailure when no t separates the rows or a check fails.
     """
-    e = c1.nrows - 1
+    e = fused.d
     x = RatFunc.var("x")
-    xi = Matrix(
-        [
-            [(x if i == j else RatFunc.zero()) - RatFunc.const(c1[i, j]) for j in range(e + 1)]
-            for i in range(e + 1)
+    for t in range((e - 1) * math.comb(e + 1, 2) + 1):
+        mt = [
+            [sum((t ** (i - 1) * fused.q(i, j, k) for i in range(1, e + 1)), Fraction(0))
+             for k in range(e + 1)]
+            for j in range(e + 1)
         ]
-    )
-    char = xi.determinant()
-    assert char.is_polynomial()
-    from .poly import roots_low_degree
-
-    roots = roots_low_degree(char.num)
-    if len(set(roots)) != len(roots):
-        raise RepeatedEigenvalue("fused Krein matrix has a repeated eigenvalue")
-    colsum = sum((c1[i, 0] for i in range(e + 1)), Fraction(0))
+        xi = Matrix(
+            [[(x if j == k else RatFunc.zero()) - RatFunc.const(mt[j][k]) for k in range(e + 1)]
+             for j in range(e + 1)]
+        )
+        char = xi.determinant()
+        assert char.is_polynomial()
+        roots = roots_low_degree(char.num)
+        if len(set(roots)) == len(roots):
+            break
+    else:
+        raise VerificationFailure(f"no t in 0..{t} separates the rows of the fused eigenmatrix")
     rows = []
     for theta in roots:
-        shifted = Matrix(
-            [
-                [c1[i, j] - (theta if i == j else 0) for j in range(e + 1)]
-                for i in range(e + 1)
-            ]
-        )
-        basis = nullspace(shifted)
-        if len(basis) != 1:
-            raise RepeatedEigenvalue(f"eigenspace of {format_scalar(theta)} is not a line")
-        vec = basis[0]
+        shifted = Matrix([[mt[j][k] - (theta if j == k else 0) for k in range(e + 1)]
+                          for j in range(e + 1)])
+        vec = nullspace(shifted)[0]
         if scalar_is_zero(vec[0]):
             raise VerificationFailure("eigenvector with vanishing leading coordinate")
-        rows.append((theta, tuple(v / vec[0] for v in vec)))
-    # principal row (eigenvalue = the constant column sum of C1*) first;
-    # the caller reorders the rest by valency
-    rows.sort(key=lambda tr: 0 if tr[0] == colsum else 1)
-    return Matrix([r for _, r in rows])
-
-
-def _fused_eigenmatrix_by_signatures(Q: Matrix, partition: FusionPartition) -> Matrix:
-    """Second eigenmatrix of the fusion by merging idempotent columns of Q.
-
-    Rows of Q whose block-summed signatures coincide collapse to one fused
-    adjacency class; the distinct signatures are the rows of S.  This is the
-    first-principles route that stays available when the fused Krein matrix
-    has a repeated eigenvalue (as happens at m = 5).
-    """
-    sigs = []
-    for j in range(Q.nrows):
-        sig = tuple(sum((Q[j, i] for i in block), Fraction(0)) for block in partition.blocks)
-        if sig not in sigs:
-            sigs.append(sig)
-    if len(sigs) != partition.e + 1:
-        raise VerificationFailure(
-            f"fusion produced {len(sigs)} distinct signature rows, expected {partition.e + 1}"
-        )
-    return Matrix(sigs)
+        u = tuple(v / vec[0] for v in vec)
+        for i in range(e + 1):
+            for j in range(e + 1):
+                if sum((fused.q(i, j, k) * u[k] for k in range(e + 1)), Fraction(0)) != u[i] * u[j]:
+                    raise VerificationFailure(
+                        f"an eigenvector fails sum_k s^k_ij u_k = u_i u_j at i = {i}, j = {j}"
+                    )
+        rows.append(u)
+    rows.sort(key=lambda u: u != mults)  # the principal row first
+    if rows[0] != mults:
+        raise VerificationFailure("no row of the fused eigenmatrix equals the multiplicities")
+    return Matrix(rows)
 
 
 def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
     """Full fusion run at numeric m: tensor, fusion, S, valencies, verdict.
 
-    The fused classes are reported with the identity class first and the
-    rest sorted by descending valency (exact comparisons), which puts the
-    m = 5 valencies in the order (1, 25, 20, 10).
+    S comes from the fused Krein matrices and multiplicities alone (see
+    :func:`_fused_eigenmatrix`), at every m including the coincidence
+    m = 5; the unfused eigensystem, which needs a quartic field for
+    generic m, is never built.  The fused classes are reported with the
+    identity class first and the rest sorted by descending valency (exact
+    comparisons), which puts the m = 5 valencies in the order
+    (1, 25, 20, 10).
     """
     cspec = casev_spec(m)
     mval = cspec.m
@@ -559,12 +549,7 @@ def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
         raise VerificationFailure(
             f"fused multiplicities sum to {sum(fused_mults, Fraction(0))}, not m^2+6m+1"
         )
-    try:
-        S = _fused_eigenmatrix_by_eigenvectors(c1_star)
-    except RepeatedEigenvalue:
-        # coincident fused eigenvalues: fall back to merging the unfused Q
-        params = scheme_params(cspec.spec)
-        S = _fused_eigenmatrix_by_signatures(params.Q, CASE_V_PARTITION)
+    S = _fused_eigenmatrix(fused_tensor, fused_mults)
     P_y = S.inverse().scale(n_y)
     valencies = P_y.row(0)
     # deterministic class order: identity class, then valency descending

@@ -172,7 +172,7 @@ def _cmd_casev(args) -> int:
         verdict = "verified" if transcript.verified else "step 5 does not verify"
         data = {"steps": [s.claim for s in transcript.steps]}
     elif args.reject:
-        result = casev.reject_case_v(args.search_max or 10000)
+        result = casev.reject_case_v(10000 if args.search_max is None else args.search_max)
         transcript = result.branch_b
         verdict = (
             "nonexistence verified"

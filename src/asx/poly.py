@@ -285,20 +285,6 @@ class MultiPoly:
             acc = acc + term
         return acc / self.den if self.den != 1 else acc
 
-    def eval_univariate(self, value):
-        """Horner evaluation for polynomials in at most one variable.
-
-        ``value`` may be any exact scalar supporting field arithmetic
-        (Fraction or QuadraticNumber).
-        """
-        if len(self.vars) > 1:
-            raise ValueError("eval_univariate needs a univariate polynomial")
-        coeffs = self.coeff_list()
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * value + c
-        return acc
-
     def coeff_list(self) -> list[Fraction]:
         """Dense coefficient list [c0, c1, ...] for <=1-variable polynomials."""
         return [Fraction(c, self.den) for c in _int_coeffs(self)]

@@ -188,12 +188,6 @@ class Ordering:
     def __call__(self, i: int) -> int:
         return self.sigma[i]
 
-    def inverse(self) -> "Ordering":
-        inv = [0] * len(self.sigma)
-        for i, s in enumerate(self.sigma):
-            inv[s] = i
-        return Ordering(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(i == s for i, s in enumerate(self.sigma))
 
@@ -697,19 +691,6 @@ def classify_structure_pair(ordering: Ordering, d: int) -> StructureType:
         if ordering.sigma == seq:
             return t
     return StructureType.NONE
-
-
-def relabel_tensor(tensor: KreinTensor, ordering: Ordering) -> KreinTensor:
-    """``q-hat^k_ij = q^{sigma(k)}_{sigma(i) sigma(j)}``."""
-    d = tensor.d
-    s = ordering.sigma
-    mats = [
-        Matrix(
-            [[tensor.q(s[i], s[j], s[k]) for k in range(d + 1)] for j in range(d + 1)]
-        )
-        for i in range(d + 1)
-    ]
-    return KreinTensor(mats)
 
 
 # ---------------------------------------------------------------------------

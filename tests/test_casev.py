@@ -176,6 +176,17 @@ class TestFusionPipeline:
         with pytest.raises(DegenerateParameter):
             fusion_pipeline(1)
 
+    def test_m5_needs_no_unfused_eigensystem(self, monkeypatch):
+        import asx.casev
+
+        def forbidden(spec):
+            raise AssertionError("fusion_pipeline must not build the unfused eigensystem")
+
+        monkeypatch.setattr(asx.casev, "scheme_params", forbidden)
+        r = fusion_pipeline(5)
+        assert r.valencies == (1, 25, 20, 10)
+        assert r.matches_expected_s
+
     def test_c1_star_column_sums(self):
         r = fusion_pipeline(5)
         for k in range(4):
@@ -189,10 +200,10 @@ class TestFusionPipeline:
         assert r.c1_star[1, 3] == 2
 
     def test_route_coverage(self):
-        # generic m: the unfused eigensystem needs a quartic field, so the
-        # fused eigenvector route must carry the computation; at m = 5 the
-        # fused matrix has a repeated eigenvalue and the signature route
-        # over Q(sqrt 21) takes over -- the two fallbacks are complementary
+        # generic m: the unfused eigensystem needs a quartic field, so S must
+        # come from the fused Krein matrices alone; at m = 5 C1* has a
+        # repeated eigenvalue, and a combination of C1*, C2*, C3* separates
+        # the rows instead
         from asx.errors import UnsupportedAlgebraicDegree
         from asx.scheme import scheme_params
 

@@ -319,6 +319,13 @@ class TestCaseV:
     def test_search_bad_bound(self, capsys):
         assert run(["casev", "--search-max", "0"]) == 2
 
+    def test_reject_zero_bound_is_an_input_error(self, capsys):
+        # an explicit 0 is a bound, not "use the default of 10000"
+        assert run(["casev", "--reject", "--search-max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search bound must be >= 1, got 0\n"
+
     def test_no_mode(self, capsys):
         assert run(["casev"]) == 2
 

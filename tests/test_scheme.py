@@ -1,5 +1,4 @@
 import itertools
-import random
 import signal
 from fractions import Fraction
 
@@ -29,7 +28,6 @@ from asx.scheme import (
     fuse,
     intersection_tensor,
     krein_ladder,
-    relabel_tensor,
     scheme_params,
     tensor_checks,
     tridiagonal_from_tensor,
@@ -314,26 +312,6 @@ class TestClassification:
             Ordering((1, 0))
         with pytest.raises(InvariantViolation):
             Ordering((0, 2, 2))
-
-
-class TestRelabel:
-    def test_identity(self):
-        t = krein_ladder(CASEV5)
-        assert relabel_tensor(t, Ordering((0, 1, 2, 3, 4, 5))) == t
-
-    def test_involution(self):
-        t = krein_ladder(CASEV5)
-        sigma = Ordering((0, 5, 3, 2, 4, 1))
-        assert relabel_tensor(relabel_tensor(t, sigma), sigma) == t
-
-    def test_random_inverse(self):
-        rng = random.Random(3)
-        t = krein_ladder(CUBE)
-        for _ in range(6):
-            tail = list(range(1, 4))
-            rng.shuffle(tail)
-            sigma = Ordering((0, *tail))
-            assert relabel_tensor(relabel_tensor(t, sigma), sigma.inverse()) == t
 
 
 class TestFusion:
