@@ -20,8 +20,8 @@ for m in (2, 3, 4, 5, 6, 7, 10):
 
 print()
 print("At m = 5 the fused Krein matrix C1* has a repeated eigenvalue, so the")
-print("eigenvector route degenerates; the pipeline falls back to merging the")
-print("idempotent columns of the unfused second eigenmatrix over Q(sqrt 21).")
+print("pipeline reads S off the common eigenvectors of C1* + t C2* + t^2 C3*")
+print("at t = 2, the first t that separates them; each row is a checked character.")
 r5 = fusion_pipeline(5)
 print("C1* at m = 5:")
 print(r5.c1_star)

@@ -165,7 +165,7 @@ def casev_spec(m: Fraction | int | None = None) -> CaseVSpec:
     else:
         mm = Fraction(m)
         symbolic = False
-        if mm == -1 or mm <= 1:
+        if mm <= 1:
             raise DegenerateParameter(f"m = {mm} is degenerate (need m > 1)")
     c = (1, (mm - 1) / 2, 2 * mm / (mm + 1), 2 * (mm - 1) / (mm + 1), mm)
     a = (0, (mm - 1) ** 2 / (2 * (mm + 1)), 0, (mm - 1) ** 2 / (mm + 1), 0)

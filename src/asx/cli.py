@@ -203,18 +203,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="feasibility battery for a params file")
     c.add_argument("file")
+    c.set_defaults(func=_cmd_check)
 
     o = sub.add_parser("orderings", help="second Q-polynomial orderings")
     o.add_argument("file")
+    o.set_defaults(func=_cmd_orderings)
 
     f = sub.add_parser("fuse", help="fuse idempotent classes along a partition")
     f.add_argument("file")
     f.add_argument("--partition", required=True)
+    f.set_defaults(func=_cmd_fuse)
 
     v = sub.add_parser("casev", help="the exceptional 5-class configuration")
     v.add_argument("--search-max", type=int, default=None, dest="search_max")
     v.add_argument("--reject", action="store_true")
     v.add_argument("--symbolic", action="store_true")
+    v.set_defaults(func=_cmd_casev)
     return p
 
 
@@ -229,38 +233,24 @@ def run(argv) -> int:
         parser.print_help()
         return EXIT_INPUT
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "orderings":
-            return _cmd_orderings(args)
-        if args.command == "fuse":
-            return _cmd_fuse(args)
-        if args.command == "casev":
-            return _cmd_casev(args)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return args.func(args)
+    except WellDefinednessViolation as exc:
+        print(f"fusion is not well-defined: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (
+        FileNotFoundError,
         ParseError,
         InvalidPartition,
         InvalidParameter,
         InvariantViolation,
+        UnsupportedAlgebraicDegree,
+        ZeroDivisionError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except WellDefinednessViolation as exc:
-        print(f"fusion is not well-defined: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except UnsupportedAlgebraicDegree as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AsxError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def main() -> None:

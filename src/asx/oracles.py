@@ -2,14 +2,15 @@
 
 Small named schemes (complete graphs, cycles, hypercubes, the Petersen
 graph) are generated as 0/1 distance relations; their intersection numbers
-are counted directly from matrix products.  The eigenmatrices come from
-the (P-polynomial ordered) first intersection matrix through the same
-eigensystem code as the Krein side, since B1 and B1* obey the same
-three-term recurrence.  This module exists to cross-validate the parameter
-algebra in :mod:`asx.scheme`: the Krein tensor obtained here from the
-counted numbers must coincide with the ladder output for the same
-tridiagonal data, and the counted p^k_ij with the two eigenmatrix formulas.
-Neither comparison target (ladder, counts) runs through the shared code.
+are counted directly from matrix products.  B1 and B1* obey the same
+three-term recurrence, so :func:`~asx.scheme.tridiagonal_from_tensor` reads
+the c/a/b data off the (P-polynomial ordered) counted B1, and the
+eigenmatrices come from the same eigensystem code as the Krein side.  This
+module cross-validates the parameter algebra in :mod:`asx.scheme`: the
+Krein tensor obtained here from the counted numbers must coincide with the
+ladder output for the same tridiagonal data, and the counted p^k_ij with
+the two eigenmatrix formulas.  Those two comparison targets, the ladder and
+the counts, do not run through the eigensystem code they check.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameter, NotAScheme, NotPPolynomial, UnknownName
+from .errors import InvalidParameter, InvariantViolation, NotAScheme, NotPPolynomial, UnknownName
 from .linalg import Matrix
 from .scheme import (
     IntersectionTensor,
     KreinTensor,
-    KreinTridiagonal,
     SchemeParams,
     dual_eigensystem,
     first_eigenmatrix,
+    tridiagonal_from_tensor,
     triple_sums,
 )
 
@@ -100,6 +101,19 @@ def _count_intersections(rels: RelationSet):
     return p
 
 
+def _distance_scheme(n: int, d: int, distance) -> RelationSet:
+    """Relations ``A0..Ad`` on ``n`` points: ``(x, y)`` lies in relation k
+    when ``distance(x, y) == k``."""
+    dist = [[distance(x, y) for y in range(n)] for x in range(n)]
+    return RelationSet(
+        n,
+        tuple(
+            tuple(tuple(1 if v == k else 0 for v in row) for row in dist)
+            for k in range(d + 1)
+        ),
+    )
+
+
 def named_scheme(name: str, parameter: int | None = None) -> RelationSet:
     """Distance relations of a named graph family.
 
@@ -110,48 +124,24 @@ def named_scheme(name: str, parameter: int | None = None) -> RelationSet:
         n = parameter if parameter is not None else 0
         if n < 2:
             raise InvalidParameter("complete graph needs n >= 2")
-        ident = [[1 if x == y else 0 for y in range(n)] for x in range(n)]
-        other = [[0 if x == y else 1 for y in range(n)] for x in range(n)]
-        return RelationSet(n, (tuple(map(tuple, ident)), tuple(map(tuple, other))))
+        return _distance_scheme(n, 1, lambda x, y: 0 if x == y else 1)
     if name == "cycle":
         n = parameter if parameter is not None else 0
         if n < 3:
             raise InvalidParameter("cycle needs n >= 3")
-        d = n // 2
-        rels = []
-        for k in range(d + 1):
-            A = [
-                [1 if min((x - y) % n, (y - x) % n) == k else 0 for y in range(n)]
-                for x in range(n)
-            ]
-            rels.append(tuple(map(tuple, A)))
-        return RelationSet(n, tuple(rels))
+        return _distance_scheme(n, n // 2, lambda x, y: min((x - y) % n, (y - x) % n))
     if name == "hypercube":
         dim = parameter if parameter is not None else 0
         if not 1 <= dim <= 9:
             raise InvalidParameter("hypercube dimension must be 1..9")
-        n = 1 << dim
-        rels = []
-        for k in range(dim + 1):
-            A = [
-                [1 if bin(x ^ y).count("1") == k else 0 for y in range(n)]
-                for x in range(n)
-            ]
-            rels.append(tuple(map(tuple, A)))
-        return RelationSet(n, tuple(rels))
+        return _distance_scheme(1 << dim, dim, lambda x, y: bin(x ^ y).count("1"))
     if name == "petersen":
+        # the Kneser graph K(5, 2): 2-subsets of {0..4}, adjacent when disjoint
         verts = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        n = len(verts)
-        adj = [
-            [1 if not set(verts[x]) & set(verts[y]) else 0 for y in range(n)]
-            for x in range(n)
-        ]
-        ident = [[1 if x == y else 0 for y in range(n)] for x in range(n)]
-        far = [
-            [1 - adj[x][y] - ident[x][y] for y in range(n)] for x in range(n)
-        ]
-        return RelationSet(
-            n, (tuple(map(tuple, ident)), tuple(map(tuple, adj)), tuple(map(tuple, far)))
+        return _distance_scheme(
+            len(verts),
+            2,
+            lambda x, y: 0 if x == y else 1 if not set(verts[x]) & set(verts[y]) else 2,
         )
     raise UnknownName(f"unknown scheme {name!r}")
 
@@ -160,27 +150,25 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     """Exact parameters of a scheme given by relation matrices.
 
     The relation order must be P-polynomial (B1 irreducible tridiagonal).
-    B1 obeys the same three-term recurrence as a Krein matrix, so ``P`` is
-    the :func:`~asx.scheme.dual_eigensystem` of its tridiagonal data, then
-    ``Q = n P^{-1}`` and the Krein numbers come from the dual orthogonality
-    sum.  Intersection numbers are counted directly and attached to the
-    result.
+    B1 obeys the same three-term recurrence as a Krein matrix, so its
+    tridiagonal data are read off the counted tensor by
+    :func:`~asx.scheme.tridiagonal_from_tensor`, ``P`` is their
+    :func:`~asx.scheme.dual_eigensystem`, then ``Q = n P^{-1}`` and the
+    Krein numbers come from the dual orthogonality sum.  Intersection
+    numbers are counted directly and attached to the result.
     """
     rels.validate()
     n, d = rels.n, rels.d
     p = _count_intersections(rels)
     rng = range(d + 1)
-    b1 = Matrix([[p[1][j][k] for k in rng] for j in rng])
-    for j in rng:
-        for k in rng:
-            if abs(j - k) > 1 and b1[j, k] != 0:
-                raise NotPPolynomial(f"B1 entry ({j},{k}) = {b1[j, k]} is nonzero")
-    c = [b1[k - 1, k] for k in range(1, d + 1)]
-    a = [b1[k, k] for k in range(1, d + 1)]
-    b = [b1[k + 1, k] for k in range(0, d)]
-    if any(x == 0 for x in c) or any(x == 0 for x in b):
-        raise NotPPolynomial("B1 is tridiagonal but not irreducible")
-    _, P = dual_eigensystem(KreinTridiagonal(d, c, a, b))
+    inters = IntersectionTensor(
+        [Matrix([[p[i][j][kk] for kk in rng] for j in rng]) for i in rng]
+    )
+    try:
+        spec = tridiagonal_from_tensor(inters)
+    except InvariantViolation as exc:
+        raise NotPPolynomial(f"counted B1 is not irreducible tridiagonal: {exc}") from exc
+    _, P = dual_eigensystem(spec)
     Q = first_eigenmatrix(P, Fraction(n))
     valencies = P.row(0)
     mults = Q.row(0)
@@ -188,9 +176,6 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     kreins = KreinTensor(
         [Matrix([[sums[i][j][kk] / (n * mults[kk]) for kk in rng] for j in rng])
          for i in rng]
-    )
-    inters = IntersectionTensor(
-        [Matrix([[p[i][j][kk] for kk in rng] for j in rng]) for i in rng]
     )
     return SchemeParams(
         d=d,

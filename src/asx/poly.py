@@ -121,9 +121,6 @@ class MultiPoly:
     def is_const(self) -> bool:
         return not self.vars
 
-    def is_one(self) -> bool:
-        return self.terms == {(): 1} and self.den == 1
-
     def is_monomial(self) -> bool:
         return len(self.terms) <= 1
 

@@ -110,7 +110,9 @@ class KreinTridiagonal:
 
 
 class KreinTensor:
-    """Full Krein array ``q^k_ij`` stored as the matrices ``B0*..Bd*``."""
+    """Structure constants ``x^k_ij`` stored as the matrices ``B0..Bd`` (``x^k_ij``
+    is the ``(j, k)`` entry of ``Bi``): the Krein array ``q^k_ij`` of
+    ``B0*..Bd*``, or the intersection numbers of :class:`IntersectionTensor`."""
 
     __slots__ = ("d", "mats")
 
@@ -119,7 +121,7 @@ class KreinTensor:
         self.d = len(mats) - 1
         for m in mats:
             if m.nrows != self.d + 1 or m.ncols != self.d + 1:
-                raise ValueError("Krein matrices must all be (d+1) x (d+1)")
+                raise ValueError("structure-constant matrices must all be (d+1) x (d+1)")
         self.mats = mats
 
     def q(self, i: int, j: int, k: int):
@@ -134,41 +136,22 @@ class KreinTensor:
         )
 
     def __eq__(self, other):
-        if not isinstance(other, KreinTensor):
+        if type(other) is not type(self):
             return NotImplemented
         return self.d == other.d and all(a == b for a, b in zip(self.mats, other.mats))
 
     def __repr__(self):
-        return f"KreinTensor(d={self.d})"
+        return f"{type(self).__name__}(d={self.d})"
 
 
-class IntersectionTensor:
-    """Full intersection array ``p^k_ij`` stored as the matrices ``B0..Bd``."""
+class IntersectionTensor(KreinTensor):
+    """Full intersection array ``p^k_ij`` stored as the matrices ``B0..Bd``;
+    ``valencies`` are the column sums of ``Bi`` (column 0)."""
 
-    __slots__ = ("d", "mats")
+    __slots__ = ()
 
-    def __init__(self, mats):
-        mats = tuple(mats)
-        self.d = len(mats) - 1
-        self.mats = mats
-
-    def p(self, i: int, j: int, k: int):
-        return self.mats[i][j, k]
-
-    def valencies(self) -> tuple:
-        """``k_i`` as the column sums of ``Bi`` (column 0)."""
-        return tuple(
-            sum((self.mats[i][j, 0] for j in range(self.d + 1)), Fraction(0))
-            for i in range(self.d + 1)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, IntersectionTensor):
-            return NotImplemented
-        return self.d == other.d and all(a == b for a, b in zip(self.mats, other.mats))
-
-    def __repr__(self):
-        return f"IntersectionTensor(d={self.d})"
+    p = KreinTensor.q
+    valencies = KreinTensor.multiplicities
 
 
 @dataclass(frozen=True)
@@ -227,10 +210,6 @@ class FusionPartition:
         if sum(len(b) for b in p.blocks) != d + 1:
             raise InvalidPartition(f"partition {text!r} does not cover 0..{d}")
         return p
-
-    @classmethod
-    def singletons(cls, d: int) -> "FusionPartition":
-        return cls(tuple((i,) for i in range(d + 1)))
 
     @property
     def e(self) -> int:
@@ -465,39 +444,57 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
 # ---------------------------------------------------------------------------
 
 
-def _is_positive_integer(x) -> bool:
-    return is_integer_scalar(x) and x > 0
-
-
 def _is_nonneg_integer(x) -> bool:
     return is_integer_scalar(x) and x >= 0
 
 
-def _column_sum_check(name: str, entry, totals, sym: str, total: str) -> FeasibilityCheck:
-    """Every column of every ``B_i`` (entries ``entry(i, j, k)``) sums to ``totals[i]``."""
-    rng = range(len(totals))
-    bad = []
-    for i in rng:
-        for k in rng:
-            s = sum((entry(i, j, k) for j in rng), Fraction(0))
-            if s != totals[i]:
-                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {format_scalar(s)} != {total}_{i}")
-    return FeasibilityCheck(name, not bad, tuple(bad))
+def _has_no_negative_sign(x) -> bool:
+    """Symbolic entries have no sign and pass."""
+    return isinstance(x, RatFunc) or scalar_sign(x) >= 0
 
 
-def _krein_checks(tensor: KreinTensor, mults) -> tuple[FeasibilityCheck, FeasibilityCheck]:
-    """Krein nonnegativity (symbolic entries have no sign and are skipped)
-    and the column sums of every ``Bi*`` against ``mults``."""
+def _entry_check(name: str, tensor: KreinTensor, sym: str, ok) -> FeasibilityCheck:
+    """Every entry ``x^k_ij`` of ``tensor`` passes ``ok``; each failure is
+    witnessed as ``sym^k_{i,j} = value``."""
     rng = range(tensor.d + 1)
     bad = []
     for i in rng:
         for j in rng:
             for k in rng:
                 v = tensor.q(i, j, k)
-                if not isinstance(v, RatFunc) and scalar_sign(v) < 0:
-                    bad.append(f"q^{k}_{{{i},{j}}} = {format_scalar(v)}")
-    nonneg = FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad))
-    return nonneg, _column_sum_check("krein-column-sums", tensor.q, mults, "q", "m")
+                if not ok(v):
+                    bad.append(f"{sym}^{k}_{{{i},{j}}} = {format_scalar(v)}")
+    return FeasibilityCheck(name, not bad, tuple(bad))
+
+
+def _positive_integer_check(name: str, values, sym: str) -> FeasibilityCheck:
+    """Every ``values[i]`` is a positive integer; failures read ``sym_i = value``."""
+    bad = [
+        f"{sym}_{i} = {format_scalar(v)}"
+        for i, v in enumerate(values)
+        if not (is_integer_scalar(v) and v > 0)
+    ]
+    return FeasibilityCheck(name, not bad, tuple(bad))
+
+
+def _column_sum_check(name: str, tensor, totals, sym: str, total: str) -> FeasibilityCheck:
+    """Every column of every ``Bi`` of ``tensor`` sums to ``totals[i]``."""
+    rng = range(len(totals))
+    bad = []
+    for i in rng:
+        for k in rng:
+            s = sum((tensor.q(i, j, k) for j in rng), Fraction(0))
+            if s != totals[i]:
+                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {format_scalar(s)} != {total}_{i}")
+    return FeasibilityCheck(name, not bad, tuple(bad))
+
+
+def _krein_checks(tensor: KreinTensor, mults) -> tuple[FeasibilityCheck, FeasibilityCheck]:
+    """Krein nonnegativity and the column sums of every ``Bi*`` against ``mults``."""
+    return (
+        _entry_check("krein-nonnegativity", tensor, "q", _has_no_negative_sign),
+        _column_sum_check("krein-column-sums", tensor, mults, "q", "m"),
+    )
 
 
 def feasibility_report(params: SchemeParams) -> FeasibilityReport:
@@ -508,57 +505,27 @@ def feasibility_report(params: SchemeParams) -> FeasibilityReport:
     identities of both tensors.  Every check always runs and every failure
     is witnessed (indices and exact value).
     """
-    rng = range(params.d + 1)
     nonneg, krein_sums = _krein_checks(params.kreins, params.multiplicities)
-    checks = [nonneg]
-
-    bad = [
-        f"m_{i} = {format_scalar(v)}"
-        for i, v in enumerate(params.multiplicities)
-        if not _is_positive_integer(v)
+    checks = [
+        nonneg,
+        _positive_integer_check("multiplicity-integrality", params.multiplicities, "m"),
+        _positive_integer_check("valency-integrality", params.valencies, "k"),
     ]
-    checks.append(FeasibilityCheck("multiplicity-integrality", not bad, tuple(bad)))
-
-    bad = [
-        f"k_{i} = {format_scalar(v)}"
-        for i, v in enumerate(params.valencies)
-        if not _is_positive_integer(v)
-    ]
-    checks.append(FeasibilityCheck("valency-integrality", not bad, tuple(bad)))
-
-    inter = params.intersections
-    inconsistency = None
-    if inter is None:
-        try:
-            inter = intersection_tensor(params)
-        except InconsistentEigenmatrices as exc:
-            inconsistency = str(exc)
-    if inconsistency is not None:
-        checks.append(
-            FeasibilityCheck(
-                "intersection-integrality", False, (f"formulas disagree: {inconsistency}",)
-            )
-        )
-        checks.append(
-            FeasibilityCheck(
-                "intersection-column-sums", False, (f"formulas disagree: {inconsistency}",)
-            )
-        )
+    try:
+        inter = params.intersections or intersection_tensor(params)
+    except InconsistentEigenmatrices as exc:
+        disagree = (f"formulas disagree: {exc}",)
+        checks += [
+            FeasibilityCheck("intersection-integrality", False, disagree),
+            FeasibilityCheck("intersection-column-sums", False, disagree),
+            krein_sums,
+        ]
     else:
-        bad = []
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    v = inter.p(i, j, k)
-                    if not _is_nonneg_integer(v):
-                        bad.append(f"p^{k}_{{{i},{j}}} = {format_scalar(v)}")
-        checks.append(FeasibilityCheck("intersection-integrality", not bad, tuple(bad)))
-
-    checks.append(krein_sums)
-    if inconsistency is None:
-        checks.append(
-            _column_sum_check("intersection-column-sums", inter.p, params.valencies, "p", "k")
-        )
+        checks += [
+            _entry_check("intersection-integrality", inter, "p", _is_nonneg_integer),
+            krein_sums,
+            _column_sum_check("intersection-column-sums", inter, params.valencies, "p", "k"),
+        ]
     return FeasibilityReport(tuple(checks))
 
 
@@ -626,6 +593,12 @@ def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
     return found
 
 
+def _zigzag(hi: int, lo: int, step: int, count: int) -> list[int]:
+    """``count`` values taken alternately from the top and the bottom:
+    ``hi, lo, hi - step, lo + step, hi - 2 step, ...``."""
+    return [hi - n // 2 * step if n % 2 == 0 else lo + n // 2 * step for n in range(count)]
+
+
 def _pattern_sequences(d: int) -> dict[StructureType, tuple[int, ...]]:
     """Candidate second-ordering patterns; invalid instantiations are dropped."""
     cands: dict[StructureType, list[int]] = {}
@@ -633,45 +606,9 @@ def _pattern_sequences(d: int) -> dict[StructureType, tuple[int, ...]]:
     odds = list(range(d if d % 2 else d - 1, 0, -2))
     cands[StructureType.I] = evens + odds
 
-    seq = [0]
-    lo, hi = 1, d
-    take_hi = True
-    while lo <= hi:
-        if take_hi:
-            seq.append(hi)
-            hi -= 1
-        else:
-            seq.append(lo)
-            lo += 1
-        take_hi = not take_hi
-    cands[StructureType.II] = seq
-
-    seq = [0]
-    hi, lo = d, 2
-    take_hi = True
-    while len(seq) < d + 1:
-        if take_hi:
-            seq.append(hi)
-            hi -= 2
-        else:
-            seq.append(lo)
-            lo += 2
-        take_hi = not take_hi
-    cands[StructureType.III] = seq
-
-    seq = [0]
-    hi, lo = d - 1, 2
-    take_hi = True
-    while len(seq) < d:
-        if take_hi:
-            seq.append(hi)
-            hi -= 2
-        else:
-            seq.append(lo)
-            lo += 2
-        take_hi = not take_hi
-    seq.append(d)
-    cands[StructureType.IV] = seq
+    cands[StructureType.II] = [0] + _zigzag(d, 1, 1, d)
+    cands[StructureType.III] = [0] + _zigzag(d, 2, 2, d)
+    cands[StructureType.IV] = [0] + _zigzag(d - 1, 2, 2, d - 1) + [d]
 
     if d == 5:
         cands[StructureType.V] = [0, 5, 3, 2, 4, 1]

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
 import signal
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asx.casev import casev_spec
 from asx.cli import run
@@ -245,6 +252,15 @@ class TestCheck:
         assert run(["--report", "json", "check", str(p)]) == 1
         payload = json.loads(capsys.readouterr().out)
         witness = "formulas disagree: p^0_{0,0}: 65/64 (eigen form) vs 25/16 (dual form)"
+        # the two failed intersection checks come before the Krein column sums
+        assert [c["name"] for c in payload["checks"]] == [
+            "krein-nonnegativity",
+            "multiplicity-integrality",
+            "valency-integrality",
+            "intersection-integrality",
+            "intersection-column-sums",
+            "krein-column-sums",
+        ]
         checks = {c["name"]: c for c in payload["checks"]}
         for name in ("intersection-integrality", "intersection-column-sums"):
             assert checks[name]["pass"] is False
@@ -378,3 +394,75 @@ def test_help_paths(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
     assert run(["nonsense"]) == 2
+
+
+# --- fuzz: random small params files end in a documented exit code --------
+
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+ZERO = Fraction(0)
+
+
+def _literal(value, radicand) -> str:
+    """``a + b*sqrt(radicand)`` for the pair ``(a, b)``, in params syntax."""
+    a, b = value
+    if not b:
+        return str(a)
+    return f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({radicand})"
+
+
+@st.composite
+def params_files(draw):
+    """A params file with d in 1..5 over Q or Q(sqrt D), D in {2, 5, 21}, and
+    a random partition of its classes for ``fuse``.  Entries are pairs
+    (a, b) standing for a + b*sqrt(D); most files have c1* = 1, and half of
+    them have every column of B1* summing to b0*."""
+    d = draw(st.integers(1, 5))
+    radicand = draw(st.sampled_from([None, 2, 5, 21]))
+    irrational = st.one_of(st.just(ZERO), SMALL) if radicand else st.just(ZERO)
+    row = st.lists(st.tuples(SMALL, irrational), min_size=d, max_size=d)
+    c, a, b = draw(row), draw(row), draw(row)
+    if draw(st.integers(0, 3)):
+        c[0] = (Fraction(1), ZERO)
+    if draw(st.booleans()):
+        # column k holds c_k*, a_k*, b_k* (b_d* := 0)
+        a = [
+            (b[0][0] - ck[0] - bk[0], b[0][1] - ck[1] - bk[1])
+            for ck, bk in zip(c, b[1:] + [(ZERO, ZERO)])
+        ]
+    c, a, b = (" ".join(_literal(v, radicand) for v in xs) for xs in (c, a, b))
+    field = "Q" if radicand is None else f"Q(sqrt {radicand})"
+    text = f"format: asx-params v1\nd: {d}\nfield: {field}\nc: {c}\na: {a}\nb: {b}\n"
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    blocks = [[str(k) for k in range(1, d + 1) if labels[k - 1] == x] for x in sorted(set(labels))]
+    return text, "|".join(["0"] + [",".join(block) for block in blocks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params_files(),
+    st.sampled_from(["check", "orderings", "fuse"]),
+    st.sampled_from(["text", "json"]),
+)
+def test_random_params_files_end_in_a_documented_exit_code(case, command, report):
+    # Every command on a random small params file returns 0, 1 or 2 without
+    # raising.  SIGALRM fails a case that takes more than 5 s.
+    text, partition = case
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{command} took more than 5 s on\n{text}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.params"
+        path.write_text(text)
+        argv = ["--report", report, command, str(path)]
+        if command == "fuse":
+            argv += ["--partition", partition]
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), (argv, text)

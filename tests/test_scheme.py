@@ -20,6 +20,7 @@ from asx.scheme import (
     KreinTridiagonal,
     Ordering,
     StructureType,
+    _pattern_sequences,
     classify_structure_pair,
     dual_eigensystem,
     enumerate_q_orderings,
@@ -290,6 +291,28 @@ class TestOrderings:
                 assert found == [identity, second]
 
 
+# The second-ordering patterns for d = 1..16, type -> sequence in insertion
+# order; a pattern that is not a permutation of 0..d is absent.
+PATTERNS = {
+    1: {"I": (0, 1), "II": (0, 1), "III": (0, 1), "IV": (0, 1)},
+    2: {"I": (0, 2, 1), "II": (0, 2, 1), "IV": (0, 1, 2)},
+    3: {"I": (0, 2, 3, 1), "II": (0, 3, 1, 2), "III": (0, 3, 2, 1)},
+    4: {"I": (0, 2, 4, 3, 1), "II": (0, 4, 1, 3, 2), "IV": (0, 3, 2, 1, 4)},
+    5: {"I": (0, 2, 4, 5, 3, 1), "II": (0, 5, 1, 4, 2, 3), "III": (0, 5, 2, 3, 4, 1), "V": (0, 5, 3, 2, 4, 1)},
+    6: {"I": (0, 2, 4, 6, 5, 3, 1), "II": (0, 6, 1, 5, 2, 4, 3), "IV": (0, 5, 2, 3, 4, 1, 6)},
+    7: {"I": (0, 2, 4, 6, 7, 5, 3, 1), "II": (0, 7, 1, 6, 2, 5, 3, 4), "III": (0, 7, 2, 5, 4, 3, 6, 1)},
+    8: {"I": (0, 2, 4, 6, 8, 7, 5, 3, 1), "II": (0, 8, 1, 7, 2, 6, 3, 5, 4), "IV": (0, 7, 2, 5, 4, 3, 6, 1, 8)},
+    9: {"I": (0, 2, 4, 6, 8, 9, 7, 5, 3, 1), "II": (0, 9, 1, 8, 2, 7, 3, 6, 4, 5), "III": (0, 9, 2, 7, 4, 5, 6, 3, 8, 1)},
+    10: {"I": (0, 2, 4, 6, 8, 10, 9, 7, 5, 3, 1), "II": (0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5), "IV": (0, 9, 2, 7, 4, 5, 6, 3, 8, 1, 10)},
+    11: {"I": (0, 2, 4, 6, 8, 10, 11, 9, 7, 5, 3, 1), "II": (0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6), "III": (0, 11, 2, 9, 4, 7, 6, 5, 8, 3, 10, 1)},
+    12: {"I": (0, 2, 4, 6, 8, 10, 12, 11, 9, 7, 5, 3, 1), "II": (0, 12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7, 6), "IV": (0, 11, 2, 9, 4, 7, 6, 5, 8, 3, 10, 1, 12)},
+    13: {"I": (0, 2, 4, 6, 8, 10, 12, 13, 11, 9, 7, 5, 3, 1), "II": (0, 13, 1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7), "III": (0, 13, 2, 11, 4, 9, 6, 7, 8, 5, 10, 3, 12, 1)},
+    14: {"I": (0, 2, 4, 6, 8, 10, 12, 14, 13, 11, 9, 7, 5, 3, 1), "II": (0, 14, 1, 13, 2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7), "IV": (0, 13, 2, 11, 4, 9, 6, 7, 8, 5, 10, 3, 12, 1, 14)},
+    15: {"I": (0, 2, 4, 6, 8, 10, 12, 14, 15, 13, 11, 9, 7, 5, 3, 1), "II": (0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8), "III": (0, 15, 2, 13, 4, 11, 6, 9, 8, 7, 10, 5, 12, 3, 14, 1)},
+    16: {"I": (0, 2, 4, 6, 8, 10, 12, 14, 16, 15, 13, 11, 9, 7, 5, 3, 1), "II": (0, 16, 1, 15, 2, 14, 3, 13, 4, 12, 5, 11, 6, 10, 7, 9, 8), "IV": (0, 15, 2, 13, 4, 11, 6, 9, 8, 7, 10, 5, 12, 3, 14, 1, 16)},
+}
+
+
 class TestClassification:
     @pytest.mark.parametrize(
         "seq, d, expected",
@@ -307,6 +330,11 @@ class TestClassification:
     def test_patterns(self, seq, d, expected):
         assert classify_structure_pair(Ordering(seq), d) == expected
 
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_pattern_table(self, d):
+        got = [(t.value, seq) for t, seq in _pattern_sequences(d).items()]
+        assert got == list(PATTERNS[d].items())
+
     def test_invalid_ordering(self):
         with pytest.raises(InvariantViolation):
             Ordering((1, 0))
@@ -317,7 +345,7 @@ class TestClassification:
 class TestFusion:
     def test_singleton_partition_is_identity(self):
         t = krein_ladder(C5)
-        fused, mults = fuse(t, t.multiplicities(), FusionPartition.singletons(2))
+        fused, mults = fuse(t, t.multiplicities(), FusionPartition(((0,), (1,), (2,))))
         assert fused == t and mults == t.multiplicities()
 
     def test_invalid_partition(self):
