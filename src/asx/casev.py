@@ -23,6 +23,7 @@ cross-checking; every one of them is re-derived by the code.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .errors import (
     StepFailure,
     VerificationFailure,
 )
-from .linalg import Matrix, nullspace, scalar_is_zero
+from .linalg import Matrix, nullspace
 from .poly import RatFunc, roots_low_degree
 from .scalars import QuadraticNumber, exact_sqrt, is_integer_scalar
 from .scheme import (
@@ -116,26 +117,15 @@ def expected_fused_eigenmatrix(m: Fraction) -> Matrix:
     closed form with ``Delta = sqrt((m^2-2m+9)(9m^2-2m+1))``."""
     m = Fraction(m)
     delta = exact_sqrt((m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1))
-    row2 = [
-        Fraction(1),
-        (m * m - 10 * m + 1 + delta) / (4 * (m + 1)),
-        (delta + 5 * m * m - 2 * m + 5) * (m - 1) / (4 * (m + 1) ** 2),
-        (delta + 3 * m * m - 6 * m + 3) * (-m) / (2 * (m + 1) ** 2),
-    ]
-    row3 = [
-        Fraction(1),
-        (m * m - 10 * m + 1 - delta) / (4 * (m + 1)),
-        (5 * m * m - 2 * m + 5 - delta) * (m - 1) / (4 * (m + 1) ** 2),
-        (3 * m * m - 6 * m + 3 - delta) * (-m) / (2 * (m + 1) ** 2),
-    ]
-    return Matrix(
-        [
-            [1, 2 * m, 4 * m, m * m],
-            [1, 2, -4, 1],
-            row2,
-            row3,
-        ]
-    )
+    rows = [[1, 2 * m, 4 * m, m * m], [1, 2, -4, 1]]
+    for s in (delta, -delta):  # rows 2 and 3
+        rows.append([
+            1,
+            (m * m - 10 * m + 1 + s) / (4 * (m + 1)),
+            (5 * m * m - 2 * m + 5 + s) * (m - 1) / (4 * (m + 1) ** 2),
+            (3 * m * m - 6 * m + 3 + s) * (-m) / (2 * (m + 1) ** 2),
+        ])
+    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -209,35 +199,28 @@ def verify_dual_consistency(cspec: CaseVSpec) -> ConsistencyReport:
     sig = CASE_V_ORDERING
 
     zeros = [(1, 5, 5), (2, 5, 5), (4, 5, 5), (5, 5, 5), (3, 4, 5)]
-    pattern = 0
     for (i, j, k) in zeros:
         v = tensor.q(i, j, k)
-        if not scalar_is_zero(v):
+        if v:
             raise ConsistencyFailure(f"q^{k}_{{{i},{j}}} = {v} should be 0")
-        pattern += 1
-    if scalar_is_zero(tensor.q(3, 5, 5)):
+    if not tensor.q(3, 5, 5):
         raise ConsistencyFailure("q^5_{3,5} vanishes but must not")
-    pattern += 1
 
-    invariance = 0
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                lhs = tensor.q(sig(i), sig(j), sig(k))
-                rhs = tensor.q(i, j, k)
-                if lhs != rhs:
-                    raise ConsistencyFailure(
-                        f"q-hat^{k}_{{{i},{j}}} = {lhs} differs from q^{k}_{{{i},{j}}} = {rhs}"
-                    )
-                invariance += 1
+    for i, j, k in itertools.product(range(d + 1), repeat=3):
+        lhs = tensor.q(sig(i), sig(j), sig(k))
+        rhs = tensor.q(i, j, k)
+        if lhs != rhs:
+            raise ConsistencyFailure(
+                f"q-hat^{k}_{{{i},{j}}} = {lhs} differs from q^{k}_{{{i},{j}}} = {rhs}"
+            )
 
     positions = q_positions(d)
     for i, j, k, vanish in positions:
-        if scalar_is_zero(tensor.q(sig(i), sig(j), sig(k))) != vanish:
+        if (not tensor.q(sig(i), sig(j), sig(k))) != vanish:
             raise ConsistencyFailure(
                 f"({'Q1' if vanish else 'Q2'}) fails for the relabeled tensor at ({i},{j},{k})"
             )
-    return ConsistencyReport(pattern, invariance, len(positions))
+    return ConsistencyReport(len(zeros) + 1, (d + 1) ** 3, len(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +259,20 @@ class DerivationTranscript:
         return out
 
 
+#: The free unknowns of the symbolic branch.
+_UNKNOWNS = ("a2", "a3", "a4", "b2", "b3", "b4", "c2", "c3", "c4", "m")
+
+
 def _free_tridiagonal(subs: dict | None = None) -> KreinTridiagonal:
     """B1* with free entries a2..a4, b2..b4, c2..c4 and a1*=0, b1*=m-1,
-    c5*=m baked in; ``subs`` pins individual unknowns."""
-    v = {name: RatFunc.var(name) for name in
-         ("a2", "a3", "a4", "b2", "b3", "b4", "c2", "c3", "c4", "m")}
-    if subs:
-        v.update({k: RatFunc.const(x) if not isinstance(x, RatFunc) else x
-                  for k, x in subs.items()})
+    c5*=m baked in; ``subs`` pins individual unknowns to rational values."""
+    v = dict(zip(_UNKNOWNS, map(RatFunc.var, _UNKNOWNS)))
+    v.update({k: RatFunc.const(x) for k, x in (subs or {}).items()})
     m = v["m"]
     c = (1, v["c2"], v["c3"], v["c4"], m)
     a = (0, v["a2"], v["a3"], v["a4"], 0)
     b = (m, m - 1, v["b2"], v["b3"], v["b4"])
     return KreinTridiagonal(5, c, a, b)
-
-
-def _rf(name: str) -> RatFunc:
-    return RatFunc.var(name)
 
 
 def derive_section32() -> DerivationTranscript:
@@ -325,9 +305,7 @@ def derive_section32() -> DerivationTranscript:
 
     An unexpected mismatch anywhere raises StepFailure.
     """
-    m, a2, a3, a4 = _rf("m"), _rf("a2"), _rf("a3"), _rf("a4")
-    b2, b3, b4 = _rf("b2"), _rf("b3"), _rf("b4")
-    c2, c3, c4 = _rf("c2"), _rf("c3"), _rf("c4")
+    a2, a3, a4, b2, b3, b4, c2, c3, c4, m = map(RatFunc.var, _UNKNOWNS)
     sig = CASE_V_ORDERING
     steps: list[DerivationStep] = []
 
@@ -346,7 +324,7 @@ def derive_section32() -> DerivationTranscript:
     # step 1: q^5_25 from the first ladder step forces b4* = 1
     spec0 = _free_tridiagonal()
     b1m = spec0.first_matrix()
-    b2m = (b1m * b1m - Matrix.identity(6).scale(m)).scale(RatFunc.one() / c2)
+    b2m = (b1m * b1m - m) / c2
     check(
         1,
         "entry (5,5) of B2*",
@@ -391,7 +369,7 @@ def derive_section32() -> DerivationTranscript:
     )
 
     # step 5: v6*(m) from the dual value polynomials at x = m
-    v6 = value_sequence(spec2, m)[6]
+    *_, v6 = value_sequence(spec2, m)
     n5 = (
         -m * m * a4 + m * a4 * c2 - m * b3 * c4 + m * a2 * a4
         + a2 * b3 * c4 + a4 * b2 * c3 + c4 * b3 * c2
@@ -490,16 +468,12 @@ def _fused_eigenmatrix(fused: KreinTensor, mults: tuple) -> Matrix:
     e = fused.d
     x = RatFunc.var("x")
     for t in range((e - 1) * math.comb(e + 1, 2) + 1):
-        mt = [
-            [sum((t ** (i - 1) * fused.q(i, j, k) for i in range(1, e + 1)), Fraction(0))
-             for k in range(e + 1)]
-            for j in range(e + 1)
-        ]
-        xi = Matrix(
-            [[(x if j == k else RatFunc.zero()) - RatFunc.const(mt[j][k]) for k in range(e + 1)]
+        mt = Matrix(
+            [[sum((t ** (i - 1) * fused.q(i, j, k) for i in range(1, e + 1)), Fraction(0))
+              for k in range(e + 1)]
              for j in range(e + 1)]
         )
-        char = xi.determinant()
+        char = (mt - x).determinant()  # det(M_t - x I): its sign does not move the roots
         assert char.is_polynomial()
         roots = roots_low_degree(char.num)
         if len(set(roots)) == len(roots):
@@ -508,10 +482,8 @@ def _fused_eigenmatrix(fused: KreinTensor, mults: tuple) -> Matrix:
         raise VerificationFailure(f"no t in 0..{t} separates the rows of the fused eigenmatrix")
     rows = []
     for theta in roots:
-        shifted = Matrix([[mt[j][k] - (theta if j == k else 0) for k in range(e + 1)]
-                          for j in range(e + 1)])
-        vec = nullspace(shifted)[0]
-        if scalar_is_zero(vec[0]):
+        vec = nullspace(mt - theta)[0]
+        if not vec[0]:
             raise VerificationFailure("eigenvector with vanishing leading coordinate")
         u = tuple(v / vec[0] for v in vec)
         for i in range(e + 1):

@@ -238,7 +238,8 @@ def run(argv) -> int:
         print(f"fusion is not well-defined: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
         ParseError,
         InvalidPartition,
         InvalidParameter,

@@ -5,7 +5,8 @@ A matrix holds Fractions, QuadraticNumbers sharing a single radicand
 (Q, Q(sqrt D) or Q(x1, ..., xk)).  Mixing distinct radicands, or a radical
 with a symbolic entry, raises MixedScalars instead of coercing.  The
 inverse, the determinant and the nullspace come from one Gauss-Jordan
-elimination over that field.
+elimination over that field.  A scalar operand s stands for s I: ``M - s``,
+``s * M`` and ``M / s``.
 """
 
 from __future__ import annotations
@@ -15,16 +16,6 @@ from fractions import Fraction
 from .errors import MixedScalars, SingularMatrix
 from .poly import RatFunc
 from .scalars import QuadraticNumber, format_scalar
-
-
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    if isinstance(x, QuadraticNumber):
-        return False  # irrational, so never 0
-    if isinstance(x, RatFunc):
-        return x.is_zero()
-    raise TypeError(f"unsupported scalar {type(x).__name__}")
 
 
 def _check_kinds(entries) -> None:
@@ -86,8 +77,9 @@ class Matrix:
         return hash(self.rows)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
+        if not isinstance(other, Matrix):  # a scalar s stands for s I
+            return Matrix([[x - other if i == j else x for j, x in enumerate(r)]
+                           for i, r in enumerate(self.rows)])
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         return Matrix(
@@ -114,6 +106,11 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in r] for r in self.rows])
+
+    __rmul__ = scale
+
+    def __truediv__(self, s):
+        return self.scale(1 / s)
 
     # -- elimination ----------------------------------------------------
 
@@ -162,7 +159,7 @@ def _reduce(rows, ncols: int):
     det = Fraction(1)
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if not scalar_is_zero(rows[i][c])), None)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         if p != r:
@@ -175,7 +172,7 @@ def _reduce(rows, ncols: int):
         rows[r][c:] = piv
         for i, row in enumerate(rows):
             f = row[c]
-            if i != r and not scalar_is_zero(f):
+            if i != r and f:
                 row[c:] = [a - f * b for a, b in zip(row[c:], piv)]
         pivots.append(c)
         if len(pivots) == len(rows):

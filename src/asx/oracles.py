@@ -58,6 +58,8 @@ class RelationSet:
                     raise NotAScheme("A0 is not the identity")
                 if idx > 0 and A[x][x] != 0:
                     raise NotAScheme(f"relation {idx} has a nonzero diagonal")
+            if not any(map(any, A)):
+                raise NotAScheme(f"relation {idx} is empty")
         for x in range(n):
             for y in range(n):
                 if sum(A[x][y] for A in self.relations) != 1:
@@ -73,15 +75,9 @@ def _count_intersections(rels: RelationSet):
     """p^k_ij read off A_i A_j = sum_k p^k_ij A_k; NotAScheme when the
     products leave the span or the counts are position-dependent."""
     n, d = rels.n, rels.d
-    rep = {}
-    for k, A in enumerate(rels.relations):
-        for x in range(n):
-            for y in range(n):
-                if A[x][y] == 1:
-                    rep.setdefault(k, (x, y))
-                    break
-            if k in rep:
-                break
+    # validate() leaves no relation empty, so each has a first pair (x, y)
+    rep = [next((x, y) for x, row in enumerate(A) for y, v in enumerate(row) if v)
+           for A in rels.relations]
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
@@ -161,9 +157,7 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     n, d = rels.n, rels.d
     p = _count_intersections(rels)
     rng = range(d + 1)
-    inters = IntersectionTensor(
-        [Matrix([[p[i][j][kk] for kk in rng] for j in rng]) for i in rng]
-    )
+    inters = IntersectionTensor(map(Matrix, p))
     try:
         spec = tridiagonal_from_tensor(inters)
     except InvariantViolation as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import MixedScalars
 
@@ -58,6 +59,7 @@ def exact_sqrt(x: Fraction | int) -> "Fraction | QuadraticNumber":
     return QuadraticNumber(0, Fraction(s, q), f)
 
 
+@total_ordering
 class QuadraticNumber:
     """An irrational element ``a + b*sqrt(d)`` of a real quadratic field.
 
@@ -210,18 +212,6 @@ class QuadraticNumber:
     def __lt__(self, other):
         diff = self - other
         return NotImplemented if diff is NotImplemented else scalar_sign(diff) < 0
-
-    def __le__(self, other):
-        diff = self - other
-        return NotImplemented if diff is NotImplemented else scalar_sign(diff) <= 0
-
-    def __gt__(self, other):
-        diff = self - other
-        return NotImplemented if diff is NotImplemented else scalar_sign(diff) > 0
-
-    def __ge__(self, other):
-        diff = self - other
-        return NotImplemented if diff is NotImplemented else scalar_sign(diff) >= 0
 
     def __hash__(self):
         return hash((self._a, self._b, self._d))

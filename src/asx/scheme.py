@@ -6,7 +6,8 @@ Everything here works on exact scalars.  The central objects:
   first Krein matrix of a Q-polynomial ordering.
 * :class:`KreinTensor` -- the full array ``q^k_ij`` together with the view
   matrices ``B0*..Bd*`` (``Bi*`` has ``(j,k)`` entry ``q^k_ij``); produced
-  from a tridiagonal spec by the three-term ladder recurrence.
+  from a tridiagonal spec as ``Bi* = v_i*(B1*)``, the value polynomials of
+  the three-term recurrence (:func:`value_sequence`) evaluated at ``B1*``.
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
   multiplicities and the order ``n``, with ``P Q = n I`` exactly.
 * :class:`IntersectionTensor` -- the array ``p^k_ij``, computed from the
@@ -30,9 +31,10 @@ from .errors import (
     InvalidPartition,
     InvariantViolation,
     RepeatedEigenvalue,
+    UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
-from .linalg import Matrix, scalar_is_zero
+from .linalg import Matrix
 from .poly import MultiPoly, RatFunc, roots_low_degree
 from .scalars import (
     QuadraticNumber,
@@ -74,10 +76,10 @@ class KreinTridiagonal:
         if c[0] != 1:
             raise InvariantViolation(f"c1* must be 1, got {format_scalar(c[0])}")
         for i, x in enumerate(c, start=1):
-            if scalar_is_zero(x):
+            if not x:
                 raise InvariantViolation(f"(Q2) violated: c{i}* = 0")
         for i, x in enumerate(b):
-            if scalar_is_zero(x):
+            if not x:
                 raise InvariantViolation(f"(Q2) violated: b{i}* = 0")
 
     def first_matrix(self) -> Matrix:
@@ -280,55 +282,35 @@ class FeasibilityReport:
 
 
 def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
-    """Generate ``B0*..Bd*`` from the three-term recurrence.
+    """``B0* = I`` and ``Bi* = v_i*(B1*)`` for ``1 <= i <= d``.
 
-    ``B0* = I`` and ``Bi* = (B1* B(i-1)* - a(i-1)* B(i-1)* - b(i-2)* B(i-2)*) / ci*``
-    for ``2 <= i <= d``; the tensor is read off as ``q^k_ij = Bi*[j, k]``.
+    In a Q-polynomial scheme every Krein matrix is the value polynomial of
+    the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is
+    :func:`value_sequence` at ``B1*``; the tensor is read off as
+    ``q^k_ij = Bi*[j, k]``.
     """
     d = spec.d
-    mats = [Matrix.identity(d + 1), spec.first_matrix()]
-    for i in range(2, d + 1):
-        b1, prev, prev2 = mats[1], mats[i - 1], mats[i - 2]
-        a_im1 = spec.a[i - 2]  # a_{i-1}*
-        b_im2 = spec.b[i - 2]  # b_{i-2}*
-        num = (b1 * prev) - prev.scale(a_im1) - prev2.scale(b_im2)
-        mats.append(num.scale(1 / spec.c[i - 1]))
-    return KreinTensor(mats)
+    ladder = itertools.islice(value_sequence(spec, spec.first_matrix()), 1, d + 1)
+    return KreinTensor([Matrix.identity(d + 1), *ladder])
 
 
-def value_sequence(spec: KreinTridiagonal, x) -> list:
-    """``v0..v(d+1)`` at ``x`` from the three-term recurrence
+def value_sequence(spec: KreinTridiagonal, x):
+    """Yield ``v0..v(d+1)`` at ``x`` from the three-term recurrence
     ``x v_i = b(i-1) v(i-1) + a_i v_i + c(i+1) v(i+1)`` with ``c(d+1) := 1``.
 
-    ``x`` may be an exact number, a RatFunc, or a MultiPoly variable (which
-    gives the value polynomials).  ``v(d+1)`` annihilates the tridiagonal
-    matrix, so its zeros are the eigenvalues.
+    ``x`` may be an exact number, a RatFunc, a MultiPoly variable (which
+    gives the value polynomials) or a Matrix (``v0 = 1`` then stands for
+    the identity).  ``v(d+1)`` annihilates the tridiagonal matrix, so its
+    zeros are the eigenvalues.  Each value is computed only when asked for.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
-    vals = [Fraction(1), x]
+    prev, cur = Fraction(1), x
+    yield prev
     for i in range(1, d + 1):
-        nxt = (x - a[i - 1]) * vals[i] - b[i - 1] * vals[i - 1]
-        vals.append(nxt / c[i] if i < d else nxt)
-    return vals
-
-
-def _conjugate_grouped_desc(values: list) -> list:
-    """Sort exact reals descending, keeping quadratic conjugates adjacent
-    (larger first); groups are ordered by their larger member."""
-    remaining = list(values)
-    groups = []
-    while remaining:
-        r = remaining.pop(0)
-        if isinstance(r, QuadraticNumber):
-            conj = r.conjugate()
-            if conj in remaining:
-                remaining.remove(conj)
-                pair = sorted([r, conj], reverse=True)
-                groups.append(pair)
-                continue
-        groups.append([r])
-    groups.sort(key=lambda g: g[0], reverse=True)
-    return [v for g in groups for v in g]
+        yield cur
+        nxt = (x - a[i - 1]) * cur - b[i - 1] * prev
+        prev, cur = cur, (nxt / c[i] if i < d else nxt)
+    yield cur
 
 
 def dual_eigensystem(spec: KreinTridiagonal):
@@ -337,10 +319,11 @@ def dual_eigensystem(spec: KreinTridiagonal):
     The annihilator's d+1 roots are the dual eigenvalues; ``Q[j, i] =
     v_i*(theta_j)`` with ``theta_0 = b0* (= m1)`` first and the rest in
     descending exact order, quadratic conjugates adjacent (larger first).
+    Roots in two different quadratic fields raise UnsupportedAlgebraicDegree.
     """
     if not all(isinstance(x, Fraction) for x in spec.c + spec.a + spec.b):
         raise InvariantViolation("dual eigensystem needs rational tridiagonal entries")
-    annihilator = value_sequence(spec, MultiPoly.var("x"))[-1]
+    *_, annihilator = value_sequence(spec, MultiPoly.var("x"))
     roots = roots_low_degree(annihilator)
     if len(set(roots)) != len(roots):
         raise RepeatedEigenvalue(f"annihilator {annihilator} has a repeated root")
@@ -351,9 +334,20 @@ def dual_eigensystem(spec: KreinTridiagonal):
         raise InvariantViolation(
             f"b0* = {b0} is not a dual eigenvalue; column sums are not constant"
         )
-    rest = [r for r in roots if r != b0]
-    thetas = [b0] + _conjugate_grouped_desc(rest)
-    q_rows = [value_sequence(spec, t)[:-1] for t in thetas]
+    fields = sorted({r.radicand for r in roots if isinstance(r, QuadraticNumber)})
+    if len(fields) > 1:
+        raise UnsupportedAlgebraicDegree(
+            f"dual eigenvalues lie in {' and '.join(f'Q(sqrt {f})' for f in fields)}, "
+            "not in one quadratic field"
+        )
+    # each conjugate pair is placed by its larger member, then by its own value
+    rest = sorted(
+        (r for r in roots if r != b0),
+        key=lambda r: (max(r, r.conjugate()) if isinstance(r, QuadraticNumber) else r, r),
+        reverse=True,
+    )
+    thetas = [b0] + rest
+    q_rows = [list(itertools.islice(value_sequence(spec, t), spec.d + 1)) for t in thetas]
     return tuple(thetas), Matrix(q_rows)
 
 
@@ -414,9 +408,9 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     d, n = params.d, params.n
     P, Q = params.P, params.Q
     m, k = params.multiplicities, params.valencies
-    if any(scalar_is_zero(x) for x in k):
+    if not all(k):
         raise InvariantViolation("zero valency")
-    if any(scalar_is_zero(x) for x in m):
+    if not all(m):
         raise InvariantViolation("zero multiplicity")
     rng = range(d + 1)
     primary = triple_sums([P.row(u) for u in rng], m)
@@ -432,8 +426,7 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
                         f"p^{kk}_{{{i},{j}}}: {format_scalar(v1)} (eigen form) vs {format_scalar(v2)} (dual form)"
                     )
                 p[i][j][kk] = v1
-    mats = [Matrix([[p[i][j][kk] for kk in rng] for j in rng]) for i in rng]
-    tensor = IntersectionTensor(mats)
+    tensor = IntersectionTensor(map(Matrix, p))
     if params.intersections is None:
         params.intersections = tensor
     return tensor
@@ -558,7 +551,7 @@ def _q_conditions_hold(tensor: KreinTensor, seq: tuple[int, ...]) -> bool:
     """(Q1)/(Q2) for the relabeling ``q-hat^k_ij = q^{seq[k]}_{seq[i] seq[j]}``."""
     q = tensor.q
     return all(
-        scalar_is_zero(q(seq[i], seq[j], seq[k])) == vanish
+        (not q(seq[i], seq[j], seq[k])) == vanish
         for i, j, k, vanish in q_positions(tensor.d)
     )
 
@@ -583,7 +576,7 @@ def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
             nxt = [
                 k
                 for k in range(1, d + 1)
-                if k not in seq and not scalar_is_zero(q(s1, seq[-1], k))
+                if k not in seq and q(s1, seq[-1], k)
             ]
             if len(nxt) != 1:
                 break
@@ -643,39 +636,26 @@ def fuse(tensor: KreinTensor, multiplicities, partition: FusionPartition):
     (WellDefinednessViolation otherwise).  Returns the fused tensor and the
     fused multiplicities (block sums).
     """
-    e = partition.e
-    if sum(len(b) for b in partition.blocks) != tensor.d + 1:
-        raise InvalidPartition(
-            f"partition covers {sum(len(b) for b in partition.blocks)} classes, tensor has {tensor.d + 1}"
-        )
-    vals = [[[None] * (e + 1) for _ in range(e + 1)] for _ in range(e + 1)]
-    for i, Ti in enumerate(partition.blocks):
-        for j, Tj in enumerate(partition.blocks):
-            for k, Tk in enumerate(partition.blocks):
-                ref = None
-                ref_gamma = None
-                for gamma in Tk:
-                    s = Fraction(0)
-                    for alpha in Ti:
-                        for beta in Tj:
-                            s = s + tensor.q(alpha, beta, gamma)
-                    if ref is None:
-                        ref, ref_gamma = s, gamma
-                    elif s != ref:
-                        raise WellDefinednessViolation(
-                            f"s^{k}_{{{i},{j}}}: gamma={ref_gamma} gives {format_scalar(ref)}, "
-                            f"gamma={gamma} gives {format_scalar(s)}"
-                        )
-                vals[i][j][k] = ref
-    mats = [
-        Matrix([[vals[i][j][k] for k in range(e + 1)] for j in range(e + 1)])
-        for i in range(e + 1)
-    ]
-    fused_mults = tuple(
-        sum((multiplicities[a] for a in block), Fraction(0))
-        for block in partition.blocks
-    )
-    return KreinTensor(mats), fused_mults
+    blocks = partition.blocks
+    covered = sum(map(len, blocks))
+    if covered != tensor.d + 1:
+        raise InvalidPartition(f"partition covers {covered} classes, tensor has {tensor.d + 1}")
+
+    def entry(i: int, j: int, k: int):
+        sums = [sum((tensor.q(a, b, g) for a in blocks[i] for b in blocks[j]), Fraction(0))
+                for g in blocks[k]]
+        for g, s in zip(blocks[k], sums):
+            if s != sums[0]:
+                raise WellDefinednessViolation(
+                    f"s^{k}_{{{i},{j}}}: gamma={blocks[k][0]} gives {format_scalar(sums[0])}, "
+                    f"gamma={g} gives {format_scalar(s)}"
+                )
+        return sums[0]
+
+    rng = range(len(blocks))
+    vals = [[[entry(i, j, k) for k in rng] for j in rng] for i in rng]
+    fused_mults = tuple(sum((multiplicities[a] for a in block), Fraction(0)) for block in blocks)
+    return KreinTensor(map(Matrix, vals)), fused_mults
 
 
 def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:
@@ -684,7 +664,7 @@ def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:
     b1 = tensor.mats[1]
     for j in range(d + 1):
         for k in range(d + 1):
-            if abs(j - k) > 1 and not scalar_is_zero(b1[j, k]):
+            if abs(j - k) > 1 and b1[j, k]:
                 raise InvariantViolation(
                     f"B1* is not tridiagonal: entry ({j},{k}) = {format_scalar(b1[j, k])}"
                 )

@@ -79,6 +79,39 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert run(["check", "/nonexistent/x.params"]) == 2
 
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert run(["check", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "utf16.params"
+        p.write_bytes(b"\xff\xfe" + "format: asx-params v1\n".encode("utf-16-le"))
+        assert run(["check", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_dual_eigenvalues_in_two_quadratic_fields(self, tmp_path, capsys):
+        # annihilator (x-4)(x^2+x-28)(2x^2-x-2)/2: roots in Q(sqrt 113) and
+        # Q(sqrt 17), which no one quadratic field holds
+        p = tmp_path / "two-fields.params"
+        p.write_text(
+            "format: asx-params v1\nd: 4\nfield: Q\n"
+            "c: 1 3/2 4 4\na: 5 -7/2 2 0\nb: 4 -2 6 -2\n"
+        )
+        for report in ("text", "json"):
+            assert run(["--report", report, "check", str(p)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: dual eigenvalues lie in Q(sqrt 17) and Q(sqrt 113), "
+                "not in one quadratic field\n"
+            )
+
     def test_malformed_file(self, tmp_path, capsys):
         p = tmp_path / "bad.params"
         p.write_text("format: asx-params v1\nd: nope\n")

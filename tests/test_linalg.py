@@ -151,6 +151,24 @@ def _random_matrices(field: str):
     return [Matrix(rows) for rows in out]
 
 
+@pytest.mark.parametrize(
+    "field, s",
+    [
+        ("Q", Fraction(-7, 3)),
+        ("Q(sqrt 5)", QuadraticNumber(Fraction(1, 2), 3, 5)),
+        ("Q(m)", (RatFunc.var("m") + 2) / (RatFunc.var("m") - 1)),
+    ],
+)
+def test_scalar_operands_stand_for_multiples_of_the_identity(field, s):
+    # M - s, s * M and M / s against the explicit s I and scale forms
+    for a in _random_matrices(field):
+        if a.nrows == a.ncols:
+            assert a - s == a - Matrix.identity(a.nrows).scale(s)
+        assert s * a == a.scale(s)
+        assert a / s == a.scale(1 / s)
+    assert 3 * Matrix.identity(2) == Matrix([[3, 0], [0, 3]])
+
+
 @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 21)", "Q(m)"])
 def test_elimination_agrees_with_sympy(field):
     # Differential check of inverse, determinant and nullspace against

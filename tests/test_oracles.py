@@ -51,6 +51,15 @@ class TestNamedSchemes:
         with pytest.raises(NotAScheme):
             scheme_from_relations(RelationSet(4, (ident, a1, a2)))
 
+    def test_empty_relation(self):
+        # I, the triangle's edges J - I, and an all-zero relation: the three
+        # partition every pair, but relation 2 has no pair to count from
+        ident = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+        edges = tuple(tuple(int(i != j) for j in range(3)) for i in range(3))
+        zero = ((0, 0, 0),) * 3
+        with pytest.raises(NotAScheme, match="^relation 2 is empty$"):
+            scheme_from_relations(RelationSet(3, (ident, edges, zero)))
+
 
 class TestSchemeFromRelations:
     def test_complete_graph(self):

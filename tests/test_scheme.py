@@ -13,7 +13,8 @@ from asx.errors import (
     WellDefinednessViolation,
 )
 from asx.linalg import Matrix
-from asx.scalars import QuadraticNumber
+from asx.oracles import named_scheme, scheme_from_relations
+from asx.scalars import QuadraticNumber, format_scalar
 from asx.scheme import (
     FusionPartition,
     KreinTensor,
@@ -107,6 +108,22 @@ class TestDualEigensystem:
         golden = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
         assert set(thetas[1:]) == {golden, golden.conjugate()}
         assert Q.row(0) == (1, 2, 2)
+
+    @pytest.mark.parametrize(
+        "n, thetas",
+        [
+            (8, "2, sqrt(2), -sqrt(2), 0, -2"),
+            (10, "2, 1/2+1/2*sqrt(5), 1/2-1/2*sqrt(5), -1/2+1/2*sqrt(5), -1/2-1/2*sqrt(5), -2"),
+            (12, "2, sqrt(3), -sqrt(3), 1, 0, -1, -2"),
+        ],
+    )
+    def test_cycle_eigenvalue_order(self, n, thetas):
+        # b0* first, then descending with each conjugate pair adjacent (larger
+        # first) and placed by its larger member; the 10-cycle interleaves
+        # two pairs of Q(sqrt 5)
+        counted = scheme_from_relations(named_scheme("cycle", n)).intersections
+        got, _ = dual_eigensystem(tridiagonal_from_tensor(counted))
+        assert ", ".join(map(format_scalar, got)) == thetas
 
     def test_repeated_eigenvalue(self):
         bad = KreinTridiagonal(1, c=[1], a=[2], b=[-1])  # x^2 - 2x + 1
