@@ -80,8 +80,12 @@ def _report_payload(command: str, verdict: str, data: dict, checks=()) -> dict:
 def _load_spec(path: str):
     from .params import parse_params_file
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ParseError(str(exc)) from exc
+    return parse_params_file(text)
 
 
 def _cmd_check(args) -> int:
@@ -238,8 +242,6 @@ def run(argv) -> int:
         print(f"fusion is not well-defined: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (
-        OSError,
-        UnicodeDecodeError,
         ParseError,
         InvalidPartition,
         InvalidParameter,

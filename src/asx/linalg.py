@@ -110,7 +110,7 @@ class Matrix:
     __rmul__ = scale
 
     def __truediv__(self, s):
-        return self.scale(1 / s)
+        return self.scale(Fraction(1) / s)
 
     # -- elimination ----------------------------------------------------
 

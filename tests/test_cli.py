@@ -78,6 +78,20 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert run(["check", "/nonexistent/x.params"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: '/nonexistent/x.params'\n"
+        )
+
+    @pytest.mark.parametrize("error", [TimeoutError, BrokenPipeError])
+    def test_os_errors_past_the_file_read_propagate(self, m5_file, monkeypatch, error):
+        # Only reading the params file maps an OSError to exit 2; a test's
+        # SIGALRM timeout or a closed stdout later on is not an input error.
+        def raise_error(text):
+            raise error("raised after the file was read")
+
+        monkeypatch.setattr("asx.params.parse_params_file", raise_error)
+        with pytest.raises(error):
+            run(["check", m5_file])
 
     def test_directory_is_an_input_error(self, tmp_path, capsys):
         assert run(["check", str(tmp_path)]) == 2

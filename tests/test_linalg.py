@@ -155,6 +155,7 @@ def _random_matrices(field: str):
     "field, s",
     [
         ("Q", Fraction(-7, 3)),
+        ("Q", 3),
         ("Q(sqrt 5)", QuadraticNumber(Fraction(1, 2), 3, 5)),
         ("Q(m)", (RatFunc.var("m") + 2) / (RatFunc.var("m") - 1)),
     ],
@@ -165,7 +166,7 @@ def test_scalar_operands_stand_for_multiples_of_the_identity(field, s):
         if a.nrows == a.ncols:
             assert a - s == a - Matrix.identity(a.nrows).scale(s)
         assert s * a == a.scale(s)
-        assert a / s == a.scale(1 / s)
+        assert a / s == a.scale(Fraction(1) / s)
     assert 3 * Matrix.identity(2) == Matrix([[3, 0], [0, 3]])
 
 
