@@ -9,12 +9,11 @@ only m = 5 survives the arithmetic (and then dies on integrality upstream).
 """
 
 from asx import fusion_pipeline, fused_krein_reference_report
-from asx.scalars import format_scalar
 
 for m in (2, 3, 4, 5, 6, 7, 10):
     r = fusion_pipeline(m)
-    vals = ", ".join(format_scalar(v) for v in r.valencies)
-    print(f"m = {m:>2}: delta^2 = {r.delta_squared}, delta = {format_scalar(r.delta)}")
+    vals = ", ".join(map(str, r.valencies))
+    print(f"m = {m:>2}: delta^2 = {r.delta_squared}, delta = {r.delta}")
     print(f"        fused valencies ({vals}), sum {r.valency_sum}"
           f" = m^2+6m+1, integral: {r.integral}")
 

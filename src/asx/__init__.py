@@ -35,8 +35,6 @@ from .poly import MultiPoly, RatFunc, factor_low_degree, poly_gcd, roots_low_deg
 from .scalars import (
     QuadraticNumber,
     exact_sqrt,
-    format_scalar,
-    scalar_sign,
     square_free_split,
 )
 from .scheme import (

@@ -403,13 +403,12 @@ def derive_section32() -> DerivationTranscript:
         -m * m * a4 + m * a4 * c2 - m * b3 * c4 + m * a2 * a4 + m * a4 + c4 * b3 * c2
     )
     e8 = m * a4 * (1 - b2) - b3 * c4 * (m - c2)
-    m_poly = RatFunc(m.num)
     check(
         6,
         "reduction to the second equation",
         [
             ("displayed numerator + step-4 equation", n5 + e7, n5_reduced),
-            ("after a2* -> m - b2* - c2*", n5_reduced.subs({"a2": m_poly - b2 - c2}), e8),
+            ("after a2* -> m - b2* - c2*", n5_reduced.subs({"a2": m - b2 - c2}), e8),
         ],
         "m a4* (1 - b2*) = b3* c4* (m - c2*)",
     )
@@ -417,7 +416,7 @@ def derive_section32() -> DerivationTranscript:
     # step 7: difference of the two equations, then c3* = m - b3*
     diff = e7 - e8
     rearranged = m * a4 * b2 - b3 * c4 * (a2 + c2 - m) - a4 * b2 * c3
-    final = diff.subs({"a2": m_poly - b2 - c2, "c3": m_poly - b3})
+    final = diff.subs({"a2": m - b2 - c2, "c3": m - b3})
     check(
         7,
         "the difference collapses",

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
-from .scalars import QuadraticNumber, format_scalar
+from .scalars import QuadraticNumber
 from .scheme import (
     FusionPartition,
     classify_structure_pair,
@@ -53,7 +53,7 @@ EXIT_INTERNAL = 3
 
 
 def _fmt(x, approx: bool = False) -> str:
-    s = format_scalar(x)
+    s = str(x)
     if approx and isinstance(x, QuadraticNumber):
         s += f" (~{float(x):.6g})"
     return s

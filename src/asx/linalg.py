@@ -6,7 +6,8 @@ A matrix holds Fractions, QuadraticNumbers sharing a single radicand
 with a symbolic entry, raises MixedScalars instead of coercing.  The
 inverse, the determinant and the nullspace come from one Gauss-Jordan
 elimination over that field.  A scalar operand s stands for s I: ``M - s``,
-``s * M`` and ``M / s``.
+``s * M`` and ``M / s``.  Matrices are equal when their row tuples are, and
+print each entry as its exact ``str``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .errors import MixedScalars, SingularMatrix
 from .poly import RatFunc
-from .scalars import QuadraticNumber, format_scalar
+from .scalars import QuadraticNumber
 
 
 def _check_kinds(entries) -> None:
@@ -67,11 +68,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -135,7 +132,7 @@ class Matrix:
         return det if len(pivots) == n else Fraction(0)
 
     def __str__(self):
-        cells = [[format_scalar(x) for x in r] for r in self.rows]
+        cells = [[str(x) for x in r] for r in self.rows]
         widths = [max(len(cells[i][j]) for i in range(self.nrows)) for j in range(self.ncols)]
         lines = [
             "[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]"

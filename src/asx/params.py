@@ -35,7 +35,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominator
-from .scalars import QuadraticNumber, exact_sqrt, format_scalar, square_free_split
+from .scalars import QuadraticNumber, exact_sqrt, square_free_split
 from .scheme import KreinTridiagonal
 
 MAX_D = 16
@@ -185,7 +185,7 @@ def render_params(spec: KreinTridiagonal) -> str:
     """Serialize a spec back to the file format (normalized form)."""
     quads = [x for arr in (spec.c, spec.a, spec.b) for x in arr if isinstance(x, QuadraticNumber)]
     field = f"Q(sqrt {quads[-1].radicand})" if quads else "Q"
-    fmt = lambda xs: " ".join(format_scalar(x) for x in xs)
+    fmt = lambda xs: " ".join(map(str, xs))
     return (
         "format: asx-params v1\n"
         f"d: {spec.d}\n"

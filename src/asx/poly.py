@@ -14,7 +14,8 @@ follow Henrici (Knuth, TAOCP vol. 2, sec. 4.5.1): a sum takes the gcd of
 the denominators only, a product cancels crosswise, and the result is
 reduced without a gcd of its full numerator and denominator.  The public
 ``num``/``den`` pair has the denominator scaled to leading coefficient 1,
-so equality is a structural comparison as well.
+so equality is a structural comparison as well.  For both types truth is
+the zero test and ``str`` the exact string.
 
 The gcd is a primitive pseudo-remainder sequence with fast paths for
 constants, monomials and univariate inputs; the fast paths carry all the
@@ -114,9 +115,6 @@ class MultiPoly:
                              for k, c in enumerate(coeffs)}, den)
 
     # -- inspection -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_const(self) -> bool:
         return not self.vars
@@ -349,9 +347,9 @@ def _split(p: MultiPoly) -> tuple[int, MultiPoly]:
 
 def poly_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact quotient f / g; raises ArithmeticError if g does not divide f."""
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
+    if not f:
         return MultiPoly.zero()
     if g.is_const():
         c = g.terms[()]
@@ -404,7 +402,7 @@ def poly_divides(g: MultiPoly, f: MultiPoly) -> bool:
 def _monic(p: MultiPoly) -> MultiPoly:
     """``p`` scaled to leading coefficient 1: its primitive integer terms
     over their (positive) leading coefficient."""
-    if p.is_zero():
+    if not p:
         return p
     _, q = _split(p)
     return _poly(q.vars, q.terms, q.terms[max(q.terms, key=_grlex_key)])
@@ -482,8 +480,8 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
     _HeuristicFailed when the retries run out; callers fall back to the
     pseudo-remainder sequence.
     """
-    if f.is_zero() or g.is_zero():
-        return g if f.is_zero() else f
+    if not f or not g:
+        return f or g
     content = gcd(*f.terms.values(), *g.terms.values())
     if f.is_const() or g.is_const():
         return MultiPoly.const(content)
@@ -500,7 +498,7 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
         h = MultiPoly.zero()
         cur = h_e
         i = 0
-        while not cur.is_zero() and i <= dbound:
+        while cur and i <= dbound:
             digits = {}
             for e, c in cur.terms.items():
                 r = c % xi
@@ -508,7 +506,7 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
             h = h + MultiPoly(cur.vars, digits) * MultiPoly.var(main) ** i
             cur = MultiPoly(cur.vars, {e: (c - digits[e]) // xi for e, c in cur.terms.items()})
             i += 1
-        if cur.is_zero() and not h.is_zero():
+        if not cur and h:
             h = _split(h)[1]
             if poly_divides(h, f) and poly_divides(h, g):
                 return h * content
@@ -522,9 +520,9 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     Its integer terms are the primitive gcd over Z with positive leading
     coefficient, and its ``den`` is that coefficient.
     """
-    if f.is_zero():
-        return _monic(g) if not g.is_zero() else MultiPoly.zero()
-    if g.is_zero():
+    if not f:
+        return _monic(g) if g else MultiPoly.zero()
+    if not g:
         return _monic(f)
     if f.is_const() or g.is_const():
         return MultiPoly.one()
@@ -607,9 +605,9 @@ class RatFunc:
         if den is None:
             den = MultiPoly.one()
         den = den if isinstance(den, MultiPoly) else MultiPoly.const(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        if not num:
             self._c, self._n, self._d = Fraction(0), _ONE, _ONE
             return
         gn, n = _split(num)
@@ -662,9 +660,6 @@ class RatFunc:
     def den(self) -> MultiPoly:
         """The denominator scaled to leading coefficient 1 (graded lex)."""
         return _monic(self._d)
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def is_polynomial(self) -> bool:
         return self._d.is_const()
@@ -760,7 +755,7 @@ class RatFunc:
         return hash((self._c, self._n, self._d))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._c)
 
     # -- substitution -----------------------------------------------------------
 
@@ -916,7 +911,7 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
     UnsupportedAlgebraicDegree when an irreducible factor of degree >= 3
     remains: the scalar tower stops at quadratic extensions.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("cannot factor the zero polynomial")
     if len(p.vars) > 1:
         raise ValueError("factor_low_degree needs a univariate polynomial")

@@ -6,7 +6,8 @@ Every numeric value in this package is a ``fractions.Fraction``, a
 value is always a Fraction: QuadraticNumber construction and arithmetic
 return one whenever the sqrt part vanishes.  All arithmetic is exact;
 floats appear only as optional display hints.  Values are immutable, so they
-may be shared freely.
+may be shared freely.  Every exact value answers for itself: ``str(x)`` is
+its canonical exact string, ``<`` its exact order and truth its zero test.
 """
 
 from __future__ import annotations
@@ -193,15 +194,6 @@ class QuadraticNumber:
 
     # -- exact order --------------------------------------------------
 
-    def sign(self) -> int:
-        """Exact sign (-1 or +1) using only rational arithmetic."""
-        a, b = self._a, self._b
-        sb = 1 if b > 0 else -1
-        if a == 0 or (a > 0) == (b > 0):
-            return sb
-        # opposite signs: |a| beats |b|sqrt(d) iff a^2 > b^2 d (never equal)
-        return -sb if a * a > b * b * self._d else sb
-
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):
             return self._a == other._a and self._b == other._b and self._d == other._d
@@ -210,8 +202,15 @@ class QuadraticNumber:
         return NotImplemented
 
     def __lt__(self, other):
+        """Exact order, from the sign of ``self - other`` in rational arithmetic."""
         diff = self - other
-        return NotImplemented if diff is NotImplemented else scalar_sign(diff) < 0
+        if not isinstance(diff, QuadraticNumber):
+            return diff < 0
+        a, b = diff._a, diff._b
+        if a == 0 or (a > 0) == (b > 0):
+            return b < 0
+        # opposite signs: |a| beats |b|sqrt(d) iff a^2 > b^2 d (never equal)
+        return (a < 0) == (a * a > b * b * diff._d)
 
     def __hash__(self):
         return hash((self._a, self._b, self._d))
@@ -225,29 +224,14 @@ class QuadraticNumber:
         return f"QuadraticNumber({self._a!r}, {self._b!r}, {self._d!r})"
 
     def __str__(self):
-        return format_scalar(self)
-
-
-def scalar_sign(x) -> int:
-    """Exact sign of a Fraction, int, or QuadraticNumber: -1, 0 or +1."""
-    if isinstance(x, QuadraticNumber):
-        return x.sign()
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    raise TypeError(f"no exact sign for {type(x).__name__}")
-
-
-def is_integer_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction)) and x.denominator == 1
-
-
-def format_scalar(x) -> str:
-    """Canonical exact string: ``p/q`` or ``p/q+r/s*sqrt(D)``."""
-    if isinstance(x, QuadraticNumber):
-        a, b, d = x.rational_part, x.sqrt_coefficient, x.radicand
+        """Canonical exact string: ``p/q+r/s*sqrt(D)``, or ``r/s*sqrt(D)``."""
+        a, b, d = self._a, self._b, self._d
         root = f"{abs(b)}*sqrt({d})" if abs(b) != 1 else f"sqrt({d})"
         if a == 0:
             return root if b > 0 else f"-{root}"
         sign = "+" if b > 0 else "-"
         return f"{a}{sign}{root}"
-    return str(x)
+
+
+def is_integer_scalar(x) -> bool:
+    return isinstance(x, (int, Fraction)) and x.denominator == 1

@@ -38,9 +38,7 @@ from .linalg import Matrix
 from .poly import MultiPoly, RatFunc, roots_low_degree
 from .scalars import (
     QuadraticNumber,
-    format_scalar,
     is_integer_scalar,
-    scalar_sign,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,7 +72,7 @@ class KreinTridiagonal:
         self.a = a
         self.b = b
         if c[0] != 1:
-            raise InvariantViolation(f"c1* must be 1, got {format_scalar(c[0])}")
+            raise InvariantViolation(f"c1* must be 1, got {c[0]}")
         for i, x in enumerate(c, start=1):
             if not x:
                 raise InvariantViolation(f"(Q2) violated: c{i}* = 0")
@@ -105,9 +103,9 @@ class KreinTridiagonal:
 
     def __repr__(self):
         return (
-            f"KreinTridiagonal(d={self.d}, c=({', '.join(format_scalar(x) for x in self.c)}), "
-            f"a=({', '.join(format_scalar(x) for x in self.a)}), "
-            f"b=({', '.join(format_scalar(x) for x in self.b)}))"
+            f"KreinTridiagonal(d={self.d}, c=({', '.join(map(str, self.c))}), "
+            f"a=({', '.join(map(str, self.a))}), "
+            f"b=({', '.join(map(str, self.b))}))"
         )
 
 
@@ -140,7 +138,7 @@ class KreinTensor:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.d == other.d and all(a == b for a, b in zip(self.mats, other.mats))
+        return self.mats == other.mats
 
     def __repr__(self):
         return f"{type(self).__name__}(d={self.d})"
@@ -212,10 +210,6 @@ class FusionPartition:
         if sum(len(b) for b in p.blocks) != d + 1:
             raise InvalidPartition(f"partition {text!r} does not cover 0..{d}")
         return p
-
-    @property
-    def e(self) -> int:
-        return len(self.blocks) - 1
 
     def __str__(self):
         return "|".join(",".join(map(str, b)) for b in self.blocks)
@@ -356,7 +350,7 @@ def first_eigenmatrix(Q: Matrix, n) -> Matrix:
     top = sum(Q.row(0), Fraction(0))
     if top != n:
         raise InvariantViolation(
-            f"n = {format_scalar(n)} does not match the top-row sum {format_scalar(top)} of Q"
+            f"n = {n} does not match the top-row sum {top} of Q"
         )
     return Q.inverse().scale(n)
 
@@ -423,7 +417,7 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
                 v2 = dual[i][j][kk] * k[i] * k[j] / n
                 if v1 != v2:
                     raise InconsistentEigenmatrices(
-                        f"p^{kk}_{{{i},{j}}}: {format_scalar(v1)} (eigen form) vs {format_scalar(v2)} (dual form)"
+                        f"p^{kk}_{{{i},{j}}}: {v1} (eigen form) vs {v2} (dual form)"
                     )
                 p[i][j][kk] = v1
     tensor = IntersectionTensor(map(Matrix, p))
@@ -443,7 +437,7 @@ def _is_nonneg_integer(x) -> bool:
 
 def _has_no_negative_sign(x) -> bool:
     """Symbolic entries have no sign and pass."""
-    return isinstance(x, RatFunc) or scalar_sign(x) >= 0
+    return isinstance(x, RatFunc) or x >= 0
 
 
 def _entry_check(name: str, tensor: KreinTensor, sym: str, ok) -> FeasibilityCheck:
@@ -456,14 +450,14 @@ def _entry_check(name: str, tensor: KreinTensor, sym: str, ok) -> FeasibilityChe
             for k in rng:
                 v = tensor.q(i, j, k)
                 if not ok(v):
-                    bad.append(f"{sym}^{k}_{{{i},{j}}} = {format_scalar(v)}")
+                    bad.append(f"{sym}^{k}_{{{i},{j}}} = {v}")
     return FeasibilityCheck(name, not bad, tuple(bad))
 
 
 def _positive_integer_check(name: str, values, sym: str) -> FeasibilityCheck:
     """Every ``values[i]`` is a positive integer; failures read ``sym_i = value``."""
     bad = [
-        f"{sym}_{i} = {format_scalar(v)}"
+        f"{sym}_{i} = {v}"
         for i, v in enumerate(values)
         if not (is_integer_scalar(v) and v > 0)
     ]
@@ -478,7 +472,7 @@ def _column_sum_check(name: str, tensor, totals, sym: str, total: str) -> Feasib
         for k in rng:
             s = sum((tensor.q(i, j, k) for j in rng), Fraction(0))
             if s != totals[i]:
-                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {format_scalar(s)} != {total}_{i}")
+                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {s} != {total}_{i}")
     return FeasibilityCheck(name, not bad, tuple(bad))
 
 
@@ -494,32 +488,29 @@ def feasibility_report(params: SchemeParams) -> FeasibilityReport:
     """Run the standard feasibility battery; failures are report content.
 
     Checks, in order: Krein nonnegativity, multiplicity integrality, valency
-    integrality, intersection-number integrality, and the column-sum
-    identities of both tensors.  Every check always runs and every failure
-    is witnessed (indices and exact value).
+    integrality, intersection-number integrality, the Krein column sums and
+    the intersection column sums, whether or not the two intersection
+    formulas agree.  Every check always runs and every failure is witnessed
+    (indices and exact value).
     """
     nonneg, krein_sums = _krein_checks(params.kreins, params.multiplicities)
-    checks = [
-        nonneg,
-        _positive_integer_check("multiplicity-integrality", params.multiplicities, "m"),
-        _positive_integer_check("valency-integrality", params.valencies, "k"),
-    ]
     try:
         inter = params.intersections or intersection_tensor(params)
     except InconsistentEigenmatrices as exc:
         disagree = (f"formulas disagree: {exc}",)
-        checks += [
-            FeasibilityCheck("intersection-integrality", False, disagree),
-            FeasibilityCheck("intersection-column-sums", False, disagree),
-            krein_sums,
-        ]
+        integrality = FeasibilityCheck("intersection-integrality", False, disagree)
+        inter_sums = FeasibilityCheck("intersection-column-sums", False, disagree)
     else:
-        checks += [
-            _entry_check("intersection-integrality", inter, "p", _is_nonneg_integer),
-            krein_sums,
-            _column_sum_check("intersection-column-sums", inter, params.valencies, "p", "k"),
-        ]
-    return FeasibilityReport(tuple(checks))
+        integrality = _entry_check("intersection-integrality", inter, "p", _is_nonneg_integer)
+        inter_sums = _column_sum_check("intersection-column-sums", inter, params.valencies, "p", "k")
+    return FeasibilityReport((
+        nonneg,
+        _positive_integer_check("multiplicity-integrality", params.multiplicities, "m"),
+        _positive_integer_check("valency-integrality", params.valencies, "k"),
+        integrality,
+        krein_sums,
+        inter_sums,
+    ))
 
 
 def tensor_checks(tensor: KreinTensor) -> FeasibilityReport:
@@ -647,8 +638,8 @@ def fuse(tensor: KreinTensor, multiplicities, partition: FusionPartition):
         for g, s in zip(blocks[k], sums):
             if s != sums[0]:
                 raise WellDefinednessViolation(
-                    f"s^{k}_{{{i},{j}}}: gamma={blocks[k][0]} gives {format_scalar(sums[0])}, "
-                    f"gamma={g} gives {format_scalar(s)}"
+                    f"s^{k}_{{{i},{j}}}: gamma={blocks[k][0]} gives {sums[0]}, "
+                    f"gamma={g} gives {s}"
                 )
         return sums[0]
 
@@ -666,7 +657,7 @@ def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:
         for k in range(d + 1):
             if abs(j - k) > 1 and b1[j, k]:
                 raise InvariantViolation(
-                    f"B1* is not tridiagonal: entry ({j},{k}) = {format_scalar(b1[j, k])}"
+                    f"B1* is not tridiagonal: entry ({j},{k}) = {b1[j, k]}"
                 )
     c = tuple(b1[k - 1, k] for k in range(1, d + 1))
     a = tuple(b1[k, k] for k in range(1, d + 1))

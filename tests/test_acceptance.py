@@ -164,13 +164,13 @@ def test_criterion_4_branch_b_symbolic():
     v6 = v[6]
     exact_ok = step5.identities[0] == f"v6*(m), exact: {v6}"
     column_sums = {"a2": m - b2 - c2, "c3": m - b3, "a4": m - 1 - c4}
-    tautology = v6.subs(column_sums).is_zero()
+    tautology = not v6.subs(column_sums)
     n_displayed = (
         -m * m * a4 + m * a4 * c2 - m * b3 * c4 + m * a2 * a4
         + a2 * b3 * c4 + a4 * b2 * c3 + c4 * b3 * c2
     )
     n_reduced = n_displayed.subs(column_sums)
-    gap_ok = n_reduced == -(m - 1) * b2 * b3 and not n_reduced.is_zero()
+    gap_ok = n_reduced == -(m - 1) * b2 * b3 and bool(n_reduced)
     elapsed = time.monotonic() - t0
 
     ok = (

@@ -299,14 +299,15 @@ class TestCheck:
         assert run(["--report", "json", "check", str(p)]) == 1
         payload = json.loads(capsys.readouterr().out)
         witness = "formulas disagree: p^0_{0,0}: 65/64 (eigen form) vs 25/16 (dual form)"
-        # the two failed intersection checks come before the Krein column sums
+        # the same order as when the formulas agree: the Krein column sums
+        # sit between the two failed intersection checks
         assert [c["name"] for c in payload["checks"]] == [
             "krein-nonnegativity",
             "multiplicity-integrality",
             "valency-integrality",
             "intersection-integrality",
-            "intersection-column-sums",
             "krein-column-sums",
+            "intersection-column-sums",
         ]
         checks = {c["name"]: c for c in payload["checks"]}
         for name in ("intersection-integrality", "intersection-column-sums"):

@@ -7,6 +7,7 @@ from asx.errors import MixedScalars, SingularMatrix
 from asx.linalg import Matrix, nullspace
 from asx.poly import RatFunc
 from asx.scalars import QuadraticNumber
+from asx.scheme import KreinTensor
 
 
 def test_identity_inverse():
@@ -91,6 +92,12 @@ def test_shape_checks():
         Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix([[1, 2, 3]]).inverse()
+    # equality of unequal shapes is False, not an error or a prefix match
+    assert Matrix([[1, 2]]) != Matrix([[1], [2]])
+    assert Matrix([[1]]) != Matrix([[1, 0]])
+    one = KreinTensor([Matrix.identity(1)])
+    two = KreinTensor([Matrix.identity(2), Matrix([[0, 1], [1, 0]])])
+    assert one != two and two != one and two == KreinTensor(two.mats)
 
 
 def test_nullspace():

@@ -51,7 +51,7 @@ def _from_terms(names, terms):
 def _terms_of(p):
     """The (exponents over p.vars, coefficient) pairs of p, leading term first."""
     out, names = [], p.vars
-    while not p.is_zero():
+    while p:
         e, c = p.leading()
         exps = tuple(dict(zip(p.vars, e)).get(name, 0) for name in names)
         out.append((exps, c))
@@ -80,7 +80,7 @@ def test_ring_axioms_on_random_triples(a, b, c):
 
 def test_zero_coefficients_never_stored():
     p = x - x
-    assert p.is_zero() and p.terms == {} and p.vars == ()
+    assert not p and p.terms == {} and p.vars == ()
     q = (x + 1) * (x - 1) - x * x
     assert q == MultiPoly.const(-1) and q.vars == ()
 
@@ -104,16 +104,16 @@ def test_exact_division():
 @settings(max_examples=40, deadline=None)
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2), polys(max_terms=2, max_exp=2))
 def test_gcd_divides_common_multiples(g, a, b):
-    if g.is_zero():
+    if not g:
         return
     f1, f2 = g * a, g * b
     d = poly_gcd(f1, f2)
-    if f1.is_zero() and f2.is_zero():
-        assert d.is_zero()
+    if not f1 and not f2:
+        assert not d
         return
     # d is a common divisor divisible by g
     for f in (f1, f2):
-        if not f.is_zero():
+        if f:
             poly_exact_div(f, d)
     poly_exact_div(d, poly_gcd(d, g))
 
@@ -190,7 +190,7 @@ class TestRatFunc:
     @settings(max_examples=40, deadline=None)
     @given(polys(), polys(max_terms=3), polys(max_terms=3), polys(max_terms=2))
     def test_cross_multiplication_agrees_with_normal_form(self, p, q, r, s):
-        if q.is_zero() or s.is_zero():
+        if not q or not s:
             return
         f, g = RatFunc(p, q), RatFunc(r, s)
         assert (f == g) == (p * s == r * q)
@@ -203,7 +203,7 @@ class TestRatFunc:
         polys(max_terms=2, max_exp=2),
     )
     def test_distributivity(self, p, q, r, s):
-        if s.is_zero():
+        if not s:
             return
         f = RatFunc(p, s)
         g = RatFunc(q, s)
@@ -236,7 +236,7 @@ class TestRatFunc:
         b4 = RatFunc.var("b4")
         c2 = RatFunc.var("c2")
         q = RatFunc.var("m") * (b4 - 1) / c2
-        assert q.subs({"b4": Fraction(1)}).is_zero()
+        assert not q.subs({"b4": Fraction(1)})
         assert q.subs({"b4": Fraction(2)}) == RatFunc.var("m") / c2
 
 
@@ -353,7 +353,7 @@ def _differential_cases(sympy):
 
     def ratfunc_pair(names):
         (p, pe), (q, qe) = poly_pair(names), poly_pair(names, 2)
-        while q.is_zero():
+        while not q:
             q, qe = poly_pair(names, 2)
         return RatFunc(p, q), pe / qe
 
@@ -398,7 +398,7 @@ def _differential_cases(sympy):
                 cases.append((a[0].subs({name: b[0]}), a[1].subs(syms[name], b[1])))
             continue
         op = rng.choice(ops)
-        if op in (ops[3], ops[5]) and b[0].is_zero():
+        if op in (ops[3], ops[5]) and not b[0]:
             continue
         cases.append(op(a, b))
     return cases, [syms[n] for n in ("m", "u", "v")]
