@@ -5,9 +5,10 @@ A matrix holds Fractions, QuadraticNumbers sharing a single radicand
 (Q, Q(sqrt D) or Q(x1, ..., xk)).  Mixing distinct radicands, or a radical
 with a symbolic entry, raises MixedScalars instead of coercing.  The
 inverse, the determinant and the nullspace come from one Gauss-Jordan
-elimination over that field.  A scalar operand s stands for s I: ``M - s``,
-``s * M`` and ``M / s``.  Matrices are equal when their row tuples are, and
-print each entry as its exact ``str``.
+elimination over that field; products over Q and Q(sqrt D) run on integer
+numerators over one common denominator.  A scalar operand s stands for
+s I: ``M - s``, ``s * M`` and ``M / s``.  Matrices are equal when their row
+tuples are, and print each entry as its exact ``str``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .errors import MixedScalars, SingularMatrix
 from .poly import RatFunc
-from .scalars import QuadraticNumber
+from .scalars import QuadraticNumber, dot_parts, from_integer_parts, integer_parts
 
 
 def _check_kinds(entries) -> None:
@@ -94,12 +95,21 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         cols = [other.col(j) for j in range(other.ncols)]
-        out = []
-        for r in self.rows:
-            out.append(
-                [sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols]
+        left = integer_parts([x for r in self.rows for x in r])
+        right = left and integer_parts([x for c in cols for x in c], left[3])
+        if not right:  # RatFunc entries: the entrywise sums
+            return Matrix(
+                [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols] for r in self.rows]
             )
-        return Matrix(out)
+        # over Q or Q(sqrt D): integer numerators over one common denominator
+        la, lb, lden, _ = left
+        ra, rb, rden, rad = right
+        n, den = self.ncols, lden * rden
+        lrows = [(la[i:i + n], lb[i:i + n]) for i in range(0, len(la), n)]
+        rcols = [(ra[j:j + n], rb[j:j + n]) for j in range(0, len(ra), n)]
+        return Matrix(
+            [[from_integer_parts(*dot_parts(*r, *c, rad), den, rad) for c in rcols] for r in lrows]
+        )
 
     def scale(self, s) -> "Matrix":
         return Matrix([[x * s for x in r] for r in self.rows])

@@ -15,8 +15,8 @@ the counts, do not run through the eigensystem code they check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidParameter, InvariantViolation, NotAScheme, NotPPolynomial, UnknownName
 from .linalg import Matrix
@@ -31,8 +31,7 @@ from .scheme import (
 )
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(NamedTuple):
     """0/1 symmetric relation matrices A0..Ad on n points (A0 = I)."""
 
     n: int
@@ -74,19 +73,19 @@ def _matmul(A, B, n):
 def _count_intersections(rels: RelationSet):
     """p^k_ij read off A_i A_j = sum_k p^k_ij A_k; NotAScheme when the
     products leave the span or the counts are position-dependent."""
-    n, d = rels.n, rels.d
+    n, d, relations = rels.n, rels.d, rels.relations
     # validate() leaves no relation empty, so each has a first pair (x, y)
     rep = [next((x, y) for x, row in enumerate(A) for y, v in enumerate(row) if v)
-           for A in rels.relations]
+           for A in relations]
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
-            M = _matmul(rels.relations[i], rels.relations[j], n)
+            M = _matmul(relations[i], relations[j], n)
             coeffs = [M[rep[k][0]][rep[k][1]] for k in range(d + 1)]
             for x in range(n):
                 for y in range(n):
                     expected = sum(
-                        c * rels.relations[k][x][y] for k, c in enumerate(coeffs)
+                        c * relations[k][x][y] for k, c in enumerate(coeffs)
                     )
                     if M[x][y] != expected:
                         raise NotAScheme(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
+from operator import mul
 
 from .errors import MixedScalars
 
@@ -235,3 +236,69 @@ class QuadraticNumber:
 
 def is_integer_scalar(x) -> bool:
     return isinstance(x, (int, Fraction)) and x.denominator == 1
+
+
+# -- integer-numerator kernels -----------------------------------------------
+#
+# A hot exact loop over Q or Q(sqrt D) runs on plain ints: every value
+# becomes a pair (A, B) over one common denominator L, x = (A + B sqrt D)/L
+# (Knuth, TAOCP vol. 2, 4.5.1), and each result is rebuilt once.
+
+
+def integer_parts(values, radicand: int = 0):
+    """Write ``values`` as ``(A_u + B_u sqrt D)/L`` over one common ``L``.
+
+    Returns ``(A, B, L, D)`` with int lists ``A`` and ``B``; ``D`` is the
+    values' radicand, else ``radicand``, and 0 while every value is rational
+    (then ``B`` is all zeros).  Returns None when a value is neither rational
+    nor a QuadraticNumber; a second radicand raises MixedScalars.
+    """
+    dens = []
+    for x in values:
+        if isinstance(x, QuadraticNumber):
+            if x._d != radicand:
+                if radicand:
+                    raise MixedScalars(f"cannot combine sqrt({radicand}) with sqrt({x._d})")
+                radicand = x._d
+            dens += x._a.denominator, x._b.denominator
+        elif isinstance(x, (int, Fraction)):
+            dens.append(x.denominator)
+        else:
+            return None
+    den = math.lcm(*dens)
+    a, b = [], []
+    for x in values:
+        if isinstance(x, QuadraticNumber):
+            a.append(x._a.numerator * (den // x._a.denominator))
+            b.append(x._b.numerator * (den // x._b.denominator))
+        else:
+            a.append(x.numerator * (den // x.denominator))
+            b.append(0)
+    return a, b, den, radicand
+
+
+def from_integer_parts(a: int, b: int, den: int, radicand: int):
+    """``(a + b sqrt radicand)/den`` as a Fraction or QuadraticNumber."""
+    if not b:
+        return Fraction(a, den)
+    return QuadraticNumber._make(Fraction(a, den), Fraction(b, den), radicand)
+
+
+def times_parts(xa, xb, ya, yb, radicand: int) -> tuple[list, list]:
+    """Entrywise ``x_u y_u`` of two integer-pair vectors, as in :func:`dot_parts`."""
+    if not radicand:
+        return list(map(mul, xa, ya)), xb
+    return (
+        [p + radicand * q for p, q in zip(map(mul, xa, ya), map(mul, xb, yb))],
+        [p + q for p, q in zip(map(mul, xa, yb), map(mul, xb, ya))],
+    )
+
+
+def dot_parts(xa, xb, ya, yb, radicand: int) -> tuple[int, int]:
+    """``sum_u x_u y_u`` as an integer pair, where ``x_u = xa_u + xb_u sqrt D``
+    and ``y_u = ya_u + yb_u sqrt D``; the sqrt parts are read only when D != 0."""
+    a = sum(map(mul, xa, ya))
+    if not radicand:
+        return a, 0
+    return (a + radicand * sum(map(mul, xb, yb)),
+            sum(map(mul, xa, yb)) + sum(map(mul, xb, ya)))

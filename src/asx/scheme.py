@@ -21,10 +21,10 @@ results are reported in a fixed deterministic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InconsistentEigenmatrices,
@@ -38,7 +38,11 @@ from .linalg import Matrix
 from .poly import MultiPoly, RatFunc, roots_low_degree
 from .scalars import (
     QuadraticNumber,
+    dot_parts,
+    from_integer_parts,
+    integer_parts,
     is_integer_scalar,
+    times_parts,
 )
 
 # ---------------------------------------------------------------------------
@@ -154,15 +158,15 @@ class IntersectionTensor(KreinTensor):
     valencies = KreinTensor.multiplicities
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(NamedTuple("Ordering", [("sigma", tuple)])):
     """A permutation of {0..d} with sigma(0) = 0, as the sequence of images."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.sigma) != list(range(len(self.sigma))) or self.sigma[0] != 0:
-            raise InvariantViolation(f"not an ordering: {self.sigma}")
+    def __new__(cls, sigma: tuple[int, ...]):
+        if sorted(sigma) != list(range(len(sigma))) or sigma[0] != 0:
+            raise InvariantViolation(f"not an ordering: {sigma}")
+        return super().__new__(cls, sigma)
 
     @property
     def d(self) -> int:
@@ -178,15 +182,13 @@ class Ordering:
         return "(" + ",".join(map(str, self.sigma)) + ")"
 
 
-@dataclass(frozen=True)
-class FusionPartition:
+class FusionPartition(NamedTuple("FusionPartition", [("blocks", tuple)])):
     """Blocks ``T0..Te`` partitioning {0..d}, with ``T0 = {0}``."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
         if not blocks or blocks[0] != (0,):
             raise InvalidPartition("the first block must be exactly {0}")
         seen: list[int] = []
@@ -196,6 +198,7 @@ class FusionPartition:
             seen.extend(b)
         if sorted(seen) != list(range(len(seen))):
             raise InvalidPartition(f"blocks do not partition 0..{len(seen) - 1}: {blocks}")
+        return super().__new__(cls, blocks)
 
     @classmethod
     def from_string(cls, text: str, d: int) -> "FusionPartition":
@@ -224,9 +227,9 @@ class StructureType(Enum):
     NONE = "none"
 
 
-@dataclass
-class SchemeParams:
-    """Eigenmatrices plus derived data for one parameter set."""
+class SchemeParams(NamedTuple):
+    """Eigenmatrices plus derived data for one parameter set; ``intersections``
+    holds counted intersection numbers when an oracle supplies them."""
 
     d: int
     n: Fraction
@@ -238,15 +241,13 @@ class SchemeParams:
     intersections: IntersectionTensor | None = None
 
 
-@dataclass(frozen=True)
-class FeasibilityCheck:
+class FeasibilityCheck(NamedTuple):
     name: str
     passed: bool
     witnesses: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     checks: tuple[FeasibilityCheck, ...]
 
     @property
@@ -374,19 +375,27 @@ def scheme_params(spec: KreinTridiagonal) -> SchemeParams:
 
 
 def triple_sums(rows, weights) -> list:
-    """``t[i][j][k] = sum_u w_u r_u[i] r_u[j] r_u[k]`` over equal-length rows.
+    """``t[i][j][k] = sum_u w_u r_u[i] r_u[j] r_u[k]`` over equal-length rows
+    of exact numbers in one field, Q or Q(sqrt D).
 
-    The weighted pair products ``w_u r_u[i] r_u[j]`` are formed once per
-    ``(i, j, u)``; every entry is a full sum (none is filled in by symmetry).
+    The sums run on integer numerators over one common denominator
+    (:func:`~asx.scalars.integer_parts`).  The weighted pair products
+    ``w_u r_u[i] r_u[j]`` are formed once per ``(i, j, u)``; every entry is a
+    full sum (none is filled in by symmetry) and is rebuilt once.
     """
-    rng = range(len(rows[0]))
+    n = len(rows[0])
+    wa, wb, wden, rad = integer_parts(weights)
+    ra, rb, rden, rad = integer_parts([x for r in rows for x in r], rad)
+    cols = [(ra[i::n], rb[i::n]) for i in range(n)]  # r_u[i] over u
+    den = wden * rden ** 3
     out = []
-    for i in rng:
-        wi = [w * r[i] for w, r in zip(weights, rows)]
+    for ia, ib in cols:
+        wi = times_parts(wa, wb, ia, ib, rad)
         plane = []
-        for j in rng:
-            wij = [x * r[j] for x, r in zip(wi, rows)]
-            plane.append([sum((x * r[k] for x, r in zip(wij, rows)), Fraction(0)) for k in rng])
+        for ja, jb in cols:
+            wij = times_parts(*wi, ja, jb, rad)
+            plane.append([from_integer_parts(*dot_parts(*wij, ka, kb, rad), den, rad)
+                          for ka, kb in cols])
         out.append(plane)
     return out
 
@@ -409,21 +418,20 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     rng = range(d + 1)
     primary = triple_sums([P.row(u) for u in rng], m)
     dual = triple_sums([Q.col(u) for u in rng], [1 / (mu * mu) for mu in m])
+    by_nk = [1 / (n * kk) for kk in k]
+    kk_by_n = [[ki * kj / n for kj in k] for ki in k]
     p = [[[None] * (d + 1) for _ in rng] for _ in rng]
     for i in rng:
         for j in rng:
             for kk in rng:
-                v1 = primary[i][j][kk] / (n * k[kk])
-                v2 = dual[i][j][kk] * k[i] * k[j] / n
+                v1 = primary[i][j][kk] * by_nk[kk]
+                v2 = dual[i][j][kk] * kk_by_n[i][j]
                 if v1 != v2:
                     raise InconsistentEigenmatrices(
                         f"p^{kk}_{{{i},{j}}}: {v1} (eigen form) vs {v2} (dual form)"
                     )
                 p[i][j][kk] = v1
-    tensor = IntersectionTensor(map(Matrix, p))
-    if params.intersections is None:
-        params.intersections = tensor
-    return tensor
+    return IntersectionTensor(map(Matrix, p))
 
 
 # ---------------------------------------------------------------------------

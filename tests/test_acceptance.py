@@ -282,7 +282,6 @@ def test_criterion_8_property_suite():
     for tensor, mults, params in jobs:
         _krein_properties(tensor, mults)
         if params is not None:
-            params.intersections = None
             inter = intersection_tensor(params)  # re-checks both formulas
             d = tensor.d
             for i in range(d + 1):

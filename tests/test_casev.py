@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from asx.casev import (
     fusion_pipeline,
     reject_case_v,
     reported_fused_krein,
+    SCREEN_MODULI,
     search_m,
+    square_screen,
     verify_dual_consistency,
 )
 from asx.errors import ConsistencyFailure, DegenerateParameter, InvalidParameter
@@ -226,6 +229,26 @@ class TestSearch:
     def test_invalid_bound(self):
         with pytest.raises(InvalidParameter):
             search_m(0)
+
+    def test_residue_screen_rejects_only_non_squares(self):
+        # the tables only skip isqrt: every m they reject has a non-square
+        # (m^2-2m+9)(9m^2-2m+1), so no survivor can be lost
+        tables = [(q, square_screen(q)) for q in SCREEN_MODULI]
+        rejected, plain = 0, []
+        for m in range(1, 10**4 + 1):
+            value = (m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1)
+            r = math.isqrt(value)
+            if r * r == value and (m * (7 * m * m - 22 * m + 7)) % r == 0:
+                plain.append(m)
+            if not all(t[m % q] for q, t in tables):
+                rejected += 1
+                assert r * r != value, m
+        assert rejected > 8000  # about 89% of m are screened out
+        assert search_m(10**4) == plain == [1, 5]
+
+    def test_no_modulus_64_screen(self):
+        # the value is a square mod 64 for every m, so 64 would reject nothing
+        assert all(square_screen(64)) and 64 not in SCREEN_MODULI
 
 
 class TestRejectCaseV:

@@ -122,7 +122,6 @@ class TestCrossValidation:
         sp = scheme_from_relations(named_scheme(name, param))
         assert sp.P * sp.Q == Matrix.identity(sp.d + 1).scale(sp.n)
         counted = sp.intersections
-        sp.intersections = None
         assert intersection_tensor(sp) == counted
 
     @pytest.mark.parametrize("name, param", NAMED)
