@@ -45,9 +45,11 @@ from .scheme import (
     KreinTridiagonal,
     Ordering,
     feasibility_report,
+    first_eigenmatrix,
     fuse,
     intersection_tensor,
     krein_ladder,
+    q_condition_failure,
     q_positions,
     scheme_params,
     value_sequence,
@@ -118,7 +120,7 @@ def expected_fused_eigenmatrix(m: Fraction) -> Matrix:
     """Second eigenmatrix of the 3-class fusion at numeric ``m``, from the
     closed form with ``Delta = sqrt((m^2-2m+9)(9m^2-2m+1))``."""
     m = Fraction(m)
-    delta = exact_sqrt((m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1))
+    delta = exact_sqrt(_delta_squared(m))
     rows = [[1, 2 * m, 4 * m, m * m], [1, 2, -4, 1]]
     for s in (delta, -delta):  # rows 2 and 3
         rows.append([
@@ -214,13 +216,13 @@ def verify_dual_consistency(cspec: CaseVSpec) -> ConsistencyReport:
                 f"q-hat^{k}_{{{i},{j}}} = {lhs} differs from q^{k}_{{{i},{j}}} = {rhs}"
             )
 
-    positions = q_positions(d)
-    for i, j, k, vanish in positions:
-        if (not tensor.q(sig(i), sig(j), sig(k))) != vanish:
-            raise ConsistencyFailure(
-                f"({'Q1' if vanish else 'Q2'}) fails for the relabeled tensor at ({i},{j},{k})"
-            )
-    return ConsistencyReport(len(zeros) + 1, (d + 1) ** 3, len(positions))
+    failure = q_condition_failure(tensor, sig.sigma)
+    if failure:
+        i, j, k, vanish = failure
+        raise ConsistencyFailure(
+            f"({'Q1' if vanish else 'Q2'}) fails for the relabeled tensor at ({i},{j},{k})"
+        )
+    return ConsistencyReport(len(zeros) + 1, (d + 1) ** 3, len(q_positions(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,7 @@ class CaseVFusionResult(NamedTuple):
     matches_expected_s: bool
 
 
-def _fused_eigenmatrix(fused: KreinTensor, mults: tuple) -> Matrix:
+def _fused_eigenmatrix(fused: KreinTensor) -> Matrix:
     """Second eigenmatrix of a fusion, read off its Krein matrices alone.
 
     Every row u of S is a character of the fused Krein algebra:
@@ -461,7 +463,7 @@ def _fused_eigenmatrix(fused: KreinTensor, mults: tuple) -> Matrix:
     principal row (the one equal to the fused multiplicities) comes first.
     Raises VerificationFailure when no t separates the rows or a check fails.
     """
-    e = fused.d
+    e, mults = fused.d, fused.multiplicities()
     x = RatFunc.var("x")
     for t in range((e - 1) * math.comb(e + 1, 2) + 1):
         mt = Matrix(
@@ -503,7 +505,7 @@ def _delta_squared(m):
 def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
     """Full fusion run at numeric m: tensor, fusion, S, valencies, verdict.
 
-    S comes from the fused Krein matrices and multiplicities alone (see
+    S comes from the fused Krein matrices alone (see
     :func:`_fused_eigenmatrix`), at every m including the coincidence
     m = 5; the unfused eigensystem, which needs a quartic field for
     generic m, is never built.  The fused classes are reported with the
@@ -513,18 +515,10 @@ def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
     """
     cspec = casev_spec(m)
     mval = cspec.m
-    tensor = krein_ladder(cspec.spec)
-    mults = tensor.multiplicities()
-    fused_tensor, fused_mults = fuse(tensor, mults, CASE_V_PARTITION)
-    c1_star = fused_tensor.mats[1]
-    n_y = mval * mval + 6 * mval + 1
-    if sum(fused_mults, Fraction(0)) != n_y:
-        raise VerificationFailure(
-            f"fused multiplicities sum to {sum(fused_mults, Fraction(0))}, not m^2+6m+1"
-        )
-    S = _fused_eigenmatrix(fused_tensor, fused_mults)
-    P_y = S.inverse().scale(n_y)
-    valencies = P_y.row(0)
+    fused_tensor = fuse(krein_ladder(cspec.spec), CASE_V_PARTITION)
+    S = _fused_eigenmatrix(fused_tensor)
+    # S's top row is the fused multiplicities, so this checks their sum
+    valencies = first_eigenmatrix(S, mval * mval + 6 * mval + 1).row(0)
     # deterministic class order: identity class, then valency descending
     order = [0] + sorted(
         range(1, 4),
@@ -533,9 +527,6 @@ def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
     )
     S = Matrix([list(S.row(j)) for j in order])
     valencies = tuple(valencies[j] for j in order)
-    vsum = sum(valencies, Fraction(0))
-    if vsum != n_y:
-        raise VerificationFailure(f"fused valencies sum to {vsum}, not m^2+6m+1")
     delta_sq = _delta_squared(mval)
     delta = exact_sqrt(delta_sq)
     radicand = delta.radicand if isinstance(delta, QuadraticNumber) else None
@@ -547,11 +538,11 @@ def fusion_pipeline(m: Fraction | int) -> CaseVFusionResult:
         delta_squared=delta_sq,
         delta=delta,
         radicand=radicand,
-        c1_star=c1_star,
+        c1_star=fused_tensor.mats[1],
         s_matrix=S,
-        fused_multiplicities=fused_mults,
+        fused_multiplicities=fused_tensor.multiplicities(),
         valencies=valencies,
-        valency_sum=vsum,
+        valency_sum=sum(valencies, Fraction(0)),
         integral=integral,
         matches_expected_s=matches,
     )
@@ -670,17 +661,16 @@ def reject_case_v(search_max: int = 10000) -> TheoremVerdict:
                 f"branch A: m = {m} unexpectedly passed intersection integrality"
             )
         if m == 5:
-            if not any("72/7" in w for w in integ.witnesses):
+            witness = next((w for w in integ.witnesses if "72/7" in w), None)
+            if witness is None:
                 raise VerificationFailure("branch A: witness 72/7 missing at m = 5")
-            # rho[j] is the expected row equal to computed row j (Q rows are distinct)
-            expected_rows = list(EXPECTED_Q_M5.rows)
+            # rinv[x] is the computed row equal to expected row x (Q rows are distinct)
             try:
-                rho = [expected_rows.index(row) for row in params.Q.rows]
+                rinv = [params.Q.rows.index(row) for row in EXPECTED_Q_M5.rows]
             except ValueError:
                 raise VerificationFailure(
                     "branch A: computed Q does not match the expected matrix up to row order"
                 ) from None
-            rinv = [rho.index(x) for x in range(6)]
             inters = intersection_tensor(params)
             for j in range(6):
                 for k in range(6):
@@ -688,15 +678,12 @@ def reject_case_v(search_max: int = 10000) -> TheoremVerdict:
                         raise VerificationFailure(
                             f"branch A: B1 entry ({j},{k}) differs from the expected matrix"
                         )
-            witness = next(w for w in integ.witnesses if "72/7" in w)
             rejections[m] = f"intersection numbers are not integers ({witness})"
         else:
             rejections[m] = (
                 "intersection numbers are not integers "
                 f"({integ.witnesses[0] if integ.witnesses else 'no witness'})"
             )
-    if set(survivors) != set(rejections):
-        raise VerificationFailure("branch A: some survivors were not rejected")
     transcript = derive_section32()
     for s in transcript.steps:
         if not s.verified and s.index != 5:
@@ -746,10 +733,7 @@ def fused_krein_reference_report() -> FusedKreinComparison:
     never raises.
     """
     cspec = casev_spec(None)
-    tensor = krein_ladder(cspec.spec)
-    mults = tensor.multiplicities()
-    fused_tensor, _ = fuse(tensor, mults, CASE_V_PARTITION)
-    c1 = fused_tensor.mats[1]
+    c1 = fuse(krein_ladder(cspec.spec), CASE_V_PARTITION).mats[1]
     mm = RatFunc.var("m")
     two_m = 2 * mm
     sums_ok = all(

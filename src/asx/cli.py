@@ -124,16 +124,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_orderings(args) -> int:
     spec = _load_spec(args.file)
-    tensor = krein_ladder(spec)
-    found = enumerate_q_orderings(tensor)
-    rows = []
-    for o in found:
-        if o.is_identity():
-            kind = "reference"
-        else:
-            t = classify_structure_pair(o, spec.d)
-            kind = t.value
-        rows.append((str(o), kind))
+    rows = [
+        (str(o), "reference" if o.is_identity() else classify_structure_pair(o).value)
+        for o in enumerate_q_orderings(krein_ladder(spec))
+    ]
     lines = [f"orderings for {args.file}: {len(rows)} found"]
     lines += [f"  {seq}  type: {kind}" for seq, kind in rows]
     data = {"orderings": [{"sigma": seq, "type": kind} for seq, kind in rows]}
@@ -144,9 +138,8 @@ def _cmd_orderings(args) -> int:
 def _cmd_fuse(args) -> int:
     spec = _load_spec(args.file)
     partition = FusionPartition.from_string(args.partition, spec.d)
-    tensor = krein_ladder(spec)
-    mults = tensor.multiplicities()
-    fused, fused_mults = fuse(tensor, mults, partition)
+    fused = fuse(krein_ladder(spec), partition)
+    fused_mults = fused.multiplicities()
     lines = [
         f"fusion of {args.file} along {partition}",
         f"fused multiplicities: {' '.join(_fmt(x, args.approx) for x in fused_mults)}",

@@ -26,8 +26,8 @@ from .scheme import (
     SchemeParams,
     dual_eigensystem,
     first_eigenmatrix,
+    intersection_tensor,
     tridiagonal_from_tensor,
-    triple_sums,
 )
 
 
@@ -148,35 +148,22 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     B1 obeys the same three-term recurrence as a Krein matrix, so its
     tridiagonal data are read off the counted tensor by
     :func:`~asx.scheme.tridiagonal_from_tensor`, ``P`` is their
-    :func:`~asx.scheme.dual_eigensystem`, then ``Q = n P^{-1}`` and the
-    Krein numbers come from the dual orthogonality sum.  Intersection
+    :func:`~asx.scheme.dual_eigensystem`, then ``Q = n P^{-1}``.  The Krein
+    numbers are :func:`~asx.scheme.intersection_tensor` of the dual
+    parameter set, so both of its formulas cross-check them.  Intersection
     numbers are counted directly and attached to the result.
     """
     rels.validate()
-    n, d = rels.n, rels.d
+    n, d = Fraction(rels.n), rels.d
     p = _count_intersections(rels)
-    rng = range(d + 1)
     inters = IntersectionTensor(map(Matrix, p))
     try:
         spec = tridiagonal_from_tensor(inters)
     except InvariantViolation as exc:
         raise NotPPolynomial(f"counted B1 is not irreducible tridiagonal: {exc}") from exc
     _, P = dual_eigensystem(spec)
-    Q = first_eigenmatrix(P, Fraction(n))
-    valencies = P.row(0)
-    mults = Q.row(0)
-    sums = triple_sums([Q.row(u) for u in rng], valencies)
-    kreins = KreinTensor(
-        [Matrix([[sums[i][j][kk] / (n * mults[kk]) for kk in rng] for j in rng])
-         for i in rng]
-    )
-    return SchemeParams(
-        d=d,
-        n=Fraction(n),
-        multiplicities=mults,
-        valencies=valencies,
-        Q=Q,
-        P=P,
-        kreins=kreins,
-        intersections=inters,
-    )
+    Q = first_eigenmatrix(P, n)
+    # the dual parameter set: P <-> Q, valencies <-> multiplicities
+    dual = SchemeParams(d, n, P.row(0), Q.row(0), Q=P, P=Q, kreins=None)
+    kreins = KreinTensor(intersection_tensor(dual).mats)
+    return SchemeParams(d, n, Q.row(0), P.row(0), Q, P, kreins, inters)

@@ -20,9 +20,9 @@ annihilator; the bound keeps the work of any accepted file small.
 
 Every radicand, the field's and each ``sqrt(D)`` literal's, must lie in
 2..MAX_RADICAND (10^12): radicands are reduced to their square-free part by
-trial division up to sqrt(D), and the bound keeps that below a second.  The
-declared field is reduced too, so ``Q(sqrt 8)`` declares Q(sqrt 2) and
-``Q(sqrt 4)`` declares Q.
+trial division up to the cube root of D, and the bound keeps that near a
+millisecond.  The declared field is reduced too, so ``Q(sqrt 8)`` declares
+Q(sqrt 2) and ``Q(sqrt 4)`` declares Q.
 
 Every integer in a file, ``d``, a radicand, a numerator or a denominator,
 has at most MAX_DIGITS (4300) digits, Python's default limit on converting

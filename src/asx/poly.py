@@ -791,13 +791,6 @@ def _divisors(n: int) -> list[int]:
     return small + big[::-1]
 
 
-def _ueval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _rational_roots(coeffs: list[int]) -> tuple[list[Fraction], list[int]]:
     """Strip all rational roots (with multiplicity).
 
@@ -866,9 +859,10 @@ def _kronecker_quadratic(f: list[int]):
 
     Returns ``(g, f / g)`` as integer lists, or None.
     """
-    v2, vm2 = _ueval(f, 2), _ueval(f, -2)
+    v2, vm2 = _homogeneous_value(f, 2, 1), _homogeneous_value(f, -2, 1)
     d0s, d1s, dm1s = (
-        [s * a for a in _divisors(_ueval(f, t)) for s in (1, -1)] for t in (0, 1, -1)
+        [s * a for a in _divisors(_homogeneous_value(f, t, 1)) for s in (1, -1)]
+        for t in (0, 1, -1)
     )
     for d0 in d0s:
         for d1 in d1s:

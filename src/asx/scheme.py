@@ -546,13 +546,15 @@ def q_positions(d: int) -> tuple[tuple[int, int, int, bool], ...]:
     return tuple(out)
 
 
-def _q_conditions_hold(tensor: KreinTensor, seq: tuple[int, ...]) -> bool:
-    """(Q1)/(Q2) for the relabeling ``q-hat^k_ij = q^{seq[k]}_{seq[i] seq[j]}``."""
+def q_condition_failure(tensor: KreinTensor, seq: tuple) -> tuple[int, int, int, bool] | None:
+    """The first position ``(i, j, k, must_vanish)`` of :func:`q_positions`
+    where the relabeling ``q-hat^k_ij = q^{seq[k]}_{seq[i] seq[j]}`` breaks
+    (Q1)/(Q2), or None when it satisfies both."""
     q = tensor.q
-    return all(
-        (not q(seq[i], seq[j], seq[k])) == vanish
-        for i, j, k, vanish in q_positions(tensor.d)
-    )
+    for i, j, k, vanish in q_positions(tensor.d):
+        if (not q(seq[i], seq[j], seq[k])) != vanish:
+            return i, j, k, vanish
+    return None
 
 
 def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
@@ -580,7 +582,7 @@ def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
             if len(nxt) != 1:
                 break
             seq.append(nxt[0])
-        if len(seq) == d + 1 and _q_conditions_hold(tensor, tuple(seq)):
+        if len(seq) == d + 1 and q_condition_failure(tensor, tuple(seq)) is None:
             found.append(Ordering(tuple(seq)))
     return found
 
@@ -612,11 +614,11 @@ def _pattern_sequences(d: int) -> dict[StructureType, tuple[int, ...]]:
     return out
 
 
-def classify_structure_pair(ordering: Ordering, d: int) -> StructureType:
+def classify_structure_pair(ordering: Ordering) -> StructureType:
     """Match an ordering against the known second-structure patterns."""
     if ordering.is_identity():
         return StructureType.NONE
-    for t, seq in _pattern_sequences(d).items():
+    for t, seq in _pattern_sequences(ordering.d).items():
         if ordering.sigma == seq:
             return t
     return StructureType.NONE
@@ -627,13 +629,14 @@ def classify_structure_pair(ordering: Ordering, d: int) -> StructureType:
 # ---------------------------------------------------------------------------
 
 
-def fuse(tensor: KreinTensor, multiplicities, partition: FusionPartition):
+def fuse(tensor: KreinTensor, partition: FusionPartition) -> KreinTensor:
     """Merge idempotent classes along a partition.
 
     ``s^k_ij = sum_{alpha in T_i, beta in T_j} q^gamma_{alpha beta}`` must be
     independent of the representative ``gamma in T_k``
-    (WellDefinednessViolation otherwise).  Returns the fused tensor and the
-    fused multiplicities (block sums).
+    (WellDefinednessViolation otherwise).  Returns the fused tensor.  Its
+    multiplicities are the block sums of the tensor's: ``T0 = {0}``, so
+    column 0 of ``Ci*`` adds up column 0 of every ``B_alpha*``, alpha in Ti.
     """
     blocks = partition.blocks
     covered = sum(map(len, blocks))
@@ -652,9 +655,9 @@ def fuse(tensor: KreinTensor, multiplicities, partition: FusionPartition):
         return sums[0]
 
     rng = range(len(blocks))
-    vals = [[[entry(i, j, k) for k in rng] for j in rng] for i in rng]
-    fused_mults = tuple(sum((multiplicities[a] for a in block), Fraction(0)) for block in blocks)
-    return KreinTensor(map(Matrix, vals)), fused_mults
+    return KreinTensor(
+        Matrix([[entry(i, j, k) for k in rng] for j in rng]) for i in rng
+    )
 
 
 def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:

@@ -214,7 +214,7 @@ def test_criterion_6_ordering_enumeration():
     found = enumerate_q_orderings(tensor)
     elapsed = time.monotonic() - t0
     seqs = [o.sigma for o in found]
-    types = [classify_structure_pair(o, 5) for o in found]
+    types = [classify_structure_pair(o) for o in found]
     ok = (
         seqs == [(0, 1, 2, 3, 4, 5), (0, 5, 3, 2, 4, 1)]
         and types[1] == StructureType.V
@@ -277,8 +277,8 @@ def test_criterion_8_property_suite():
         sp = scheme_from_relations(named_scheme(name, param))
         jobs.append((sp.kreins, sp.multiplicities, sp))
     t5 = krein_ladder(casev_spec(5).spec)
-    fused, fused_mults = fuse(t5, t5.multiplicities(), CASE_V_PARTITION)
-    jobs.append((fused, fused_mults, None))
+    fused = fuse(t5, CASE_V_PARTITION)
+    jobs.append((fused, fused.multiplicities(), None))
     for tensor, mults, params in jobs:
         _krein_properties(tensor, mults)
         if params is not None:

@@ -10,9 +10,10 @@ from asx.errors import (
     UnsupportedAlgebraicDegree,
 )
 from asx.linalg import Matrix
-from asx.oracles import RelationSet, named_scheme, scheme_from_relations
+from asx.oracles import RelationSet, _count_intersections, named_scheme, scheme_from_relations
 from asx.scalars import QuadraticNumber
 from asx.scheme import (
+    IntersectionTensor,
     feasibility_report,
     intersection_tensor,
     krein_ladder,
@@ -20,6 +21,12 @@ from asx.scheme import (
 )
 
 NAMED = [("complete", 4), ("cycle", 5), ("petersen", None), ("hypercube", 3)]
+ALL_NAMED = (
+    [("complete", n) for n in range(2, 13)]
+    + [("cycle", n) for n in range(3, 13)]
+    + [("hypercube", n) for n in range(1, 7)]
+    + [("petersen", None)]
+)
 
 
 class TestNamedSchemes:
@@ -135,3 +142,30 @@ class TestCrossValidation:
                     assert v == m[k] * q(j, i, k)
                     assert v == m[j] * q(i, k, j)
                     assert v == m[i] * q(k, j, i)
+
+    @pytest.mark.parametrize(
+        "name, param", NAMED + [("complete", 7), ("cycle", 8), ("cycle", 12), ("hypercube", 5)]
+    )
+    def test_kreins_match_the_dual_orthogonality_sum(self, name, param):
+        # q^k_ij = sum_u k_u Q_ui Q_uj Q_uk / (n m_k), summed entry by entry
+        # in the exact scalars, independently of intersection_tensor
+        sp = scheme_from_relations(named_scheme(name, param))
+        rng = range(sp.d + 1)
+        k, m, Q = sp.valencies, sp.multiplicities, sp.Q
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    want = sum(
+                        (k[u] * Q[u, a] * Q[u, b] * Q[u, c] for u in rng), Fraction(0)
+                    ) / (sp.n * m[c])
+                    assert sp.kreins.q(a, b, c) == want
+
+
+@pytest.mark.parametrize("name, param", ALL_NAMED)
+def test_counted_tensor_is_the_ladder_on_its_own_b1(name, param):
+    # In a P-polynomial scheme B_i = v_i(B1), so the ladder run on the
+    # counted B1 rebuilds every counted B_i.  No eigenvalue is computed,
+    # so this also covers the cycles 7, 9 and 11, whose eigenvalues lie
+    # in cubic fields.
+    counted = IntersectionTensor(map(Matrix, _count_intersections(named_scheme(name, param))))
+    assert krein_ladder(tridiagonal_from_tensor(counted)).mats == counted.mats

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,56 @@ from asx.scalars import (
 )
 def test_square_free_split(n, expected):
     assert square_free_split(n) == expected
+
+
+def _split_to_the_square_root(n):
+    """Reference split: trial division while p**2 <= m, as before the
+    cube-root bound."""
+    s, f, m = 1, 1, n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e & 1:
+                f *= p
+        p += 1 if p == 2 else 2
+    return s, f * m
+
+
+def test_square_free_split_agrees_with_division_to_the_square_root():
+    # every n below 2*10^4, products of primes around the cube root of
+    # the cofactor (p^2, p^3, p q, p^2 q, p q r), and seeded n < 10^9
+    rng = random.Random(12)
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    ns = list(range(1, 20000))
+    for _ in range(300):
+        p, q, r = (rng.choice(primes) for _ in range(3))
+        ns += [p * p, p ** 3, p * q, p * p * q, p * q * r, rng.randrange(1, 10 ** 9)]
+    for n in ns:
+        assert square_free_split(n) == _split_to_the_square_root(n), n
+
+
+def test_square_free_split_of_a_large_semiprime_is_fast():
+    # (10^6 + 3)(10^6 + 33) is a product of two primes: division to the
+    # square root took about 70 ms per call, to the cube root under 1 ms.
+    # SIGALRM fails the test when 100 calls take more than 1 s.
+    n = (10 ** 6 + 3) * (10 ** 6 + 33)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("100 splits of a 10^12 semiprime took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(1)
+    try:
+        splits = {square_free_split(n) for _ in range(100)}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert splits == {(1, n)}
 
 
 def test_exact_sqrt():

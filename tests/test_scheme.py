@@ -30,6 +30,7 @@ from asx.scheme import (
     fuse,
     intersection_tensor,
     krein_ladder,
+    q_condition_failure,
     scheme_params,
     tensor_checks,
     tridiagonal_from_tensor,
@@ -295,6 +296,15 @@ class TestOrderings:
         tensor = krein_ladder(spec)
         assert [o.sigma for o in enumerate_q_orderings(tensor)] == self._scan(tensor)
 
+    def test_q_condition_failure(self):
+        # both case-V orderings at m = 5 pass; swapping E1 and E2 first
+        # breaks (Q1) at q-hat^3_{1,1} = q^3_{2,2} != 0
+        tensor = krein_ladder(CASEV5)
+        assert q_condition_failure(tensor, (0, 1, 2, 3, 4, 5)) is None
+        assert q_condition_failure(tensor, (0, 5, 3, 2, 4, 1)) is None
+        assert q_condition_failure(tensor, (0, 2, 1, 3, 4, 5)) == (1, 1, 3, True)
+        assert tensor.q(2, 2, 3)
+
     def test_hypercubes_d9_to_d16(self):
         # Past the old d <= 8 cap: the d-cube keeps only the identity for
         # odd d; for even d it also has sigma(i) = i (i even), d - i (i odd)
@@ -345,7 +355,8 @@ class TestClassification:
         ],
     )
     def test_patterns(self, seq, d, expected):
-        assert classify_structure_pair(Ordering(seq), d) == expected
+        assert Ordering(seq).d == d
+        assert classify_structure_pair(Ordering(seq)) == expected
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_pattern_table(self, d):
@@ -362,8 +373,8 @@ class TestClassification:
 class TestFusion:
     def test_singleton_partition_is_identity(self):
         t = krein_ladder(C5)
-        fused, mults = fuse(t, t.multiplicities(), FusionPartition(((0,), (1,), (2,))))
-        assert fused == t and mults == t.multiplicities()
+        fused = fuse(t, FusionPartition(((0,), (1,), (2,))))
+        assert fused == t and fused.multiplicities() == t.multiplicities()
 
     def test_invalid_partition(self):
         with pytest.raises(InvalidPartition):
@@ -386,7 +397,48 @@ class TestFusion:
         b2 = Matrix([[0, 0, 1], [0, 2, 1], [2, 1, 0]])
         t = KreinTensor([b0, b1, b2])
         with pytest.raises(WellDefinednessViolation):
-            fuse(t, t.multiplicities(), FusionPartition(((0,), (1, 2))))
+            fuse(t, FusionPartition(((0,), (1, 2))))
+
+
+def _set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in _set_partitions(rest):
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+        yield [[first]] + p
+
+
+@pytest.mark.parametrize(
+    "spec, fusing",
+    [
+        (CASEV5, ["0|1,2,3,4,5", "0|2,3,4|1,5", "0|2,3|4|1,5", "0|1|2|3|4|5"]),
+        (hamming(4, 2), ["0|1,2,3,4", "0|1,2|3,4", "0|1,2,3|4", "0|2,3|1,4",
+                         "0|1,3|2,4", "0|2|1,3|4", "0|1|2|3|4"]),
+    ],
+    ids=["casev-m5", "H(4,2)"],
+)
+def test_fused_multiplicities_are_the_block_sums(spec, fusing):
+    # T0 = {0}, so column 0 of each fused Ci* adds up column 0 of the
+    # B_alpha*, alpha in Ti: the fused tensor's multiplicities are the
+    # block sums of the tensor's, for every partition that fuses
+    tensor = krein_ladder(spec)
+    mults = tensor.multiplicities()
+    fused_ok = []
+    for blocks in _set_partitions(list(range(1, spec.d + 1))):
+        partition = FusionPartition(((0,), *map(tuple, blocks)))
+        try:
+            fused = fuse(tensor, partition)
+        except WellDefinednessViolation:
+            continue
+        fused_ok.append(str(partition))
+        assert fused.multiplicities() == tuple(
+            sum((mults[a] for a in block), Fraction(0)) for block in partition.blocks
+        )
+    assert fused_ok == fusing
 
 
 def test_tridiagonal_from_tensor_roundtrip():
