@@ -6,7 +6,8 @@ A matrix holds Fractions, QuadraticNumbers sharing a single radicand
 with a symbolic entry, raises MixedScalars instead of coercing.  The
 inverse, the determinant and the nullspace come from one Gauss-Jordan
 elimination over that field; products over Q and Q(sqrt D) run on integer
-numerators over one common denominator.  A scalar operand s stands for
+numerators over one common denominator, and products of RatFunc entries
+skip zero factors.  A scalar operand s stands for
 s I: ``M - s``, ``s * M`` and ``M / s``.  Matrices are equal when their row
 tuples are, and print each entry as its exact ``str``.
 """
@@ -54,7 +55,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        zero, one = Fraction(0), Fraction(1)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -76,6 +78,8 @@ class Matrix:
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):  # a scalar s stands for s I
+            if not other:
+                return self
             return Matrix([[x - other if i == j else x for j, x in enumerate(r)]
                            for i, r in enumerate(self.rows)])
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -97,9 +101,10 @@ class Matrix:
         cols = [other.col(j) for j in range(other.ncols)]
         left = integer_parts([x for r in self.rows for x in r])
         right = left and integer_parts([x for c in cols for x in c], left[3])
-        if not right:  # RatFunc entries: the entrywise sums
+        if not right:  # RatFunc entries: the entrywise sums, zero factors skipped
             return Matrix(
-                [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols] for r in self.rows]
+                [[sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in cols]
+                 for r in self.rows]
             )
         # over Q or Q(sqrt D): integer numerators over one common denominator
         la, lb, lden, _ = left
@@ -112,6 +117,8 @@ class Matrix:
         )
 
     def scale(self, s) -> "Matrix":
+        if s == 1:  # immutable, so the matrix itself
+            return self
         return Matrix([[x * s for x in r] for r in self.rows])
 
     __rmul__ = scale

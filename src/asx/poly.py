@@ -15,7 +15,8 @@ the denominators only, a product cancels crosswise, and the result is
 reduced without a gcd of its full numerator and denominator.  The public
 ``num``/``den`` pair has the denominator scaled to leading coefficient 1,
 so equality is a structural comparison as well.  For both types truth is
-the zero test and ``str`` the exact string.
+the zero test, ``str`` the exact string, and a value equal to a Fraction
+(or a RatFunc equal to a MultiPoly) hashes as that value does.
 
 The gcd is a primitive pseudo-remainder sequence with fast paths for
 constants, monomials and univariate inputs; the fast paths carry all the
@@ -252,6 +253,8 @@ class MultiPoly:
         return self.vars == o.vars and self.den == o.den and self.terms == o.terms
 
     def __hash__(self):
+        if not self.vars:  # a constant hashes as the Fraction it equals
+            return hash(Fraction(self.terms.get((), 0), self.den))
         return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -752,6 +755,9 @@ class RatFunc:
         return self._c == o._c and self._n == o._n and self._d == o._d
 
     def __hash__(self):
+        # a polynomial hashes as the MultiPoly it equals, so a constant as its Fraction
+        if self._d.is_const():
+            return hash(self.num)
         return hash((self._c, self._n, self._d))
 
     def __bool__(self):

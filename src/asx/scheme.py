@@ -8,6 +8,9 @@ Everything here works on exact scalars.  The central objects:
   matrices ``B0*..Bd*`` (``Bi*`` has ``(j,k)`` entry ``q^k_ij``); produced
   from a tridiagonal spec as ``Bi* = v_i*(B1*)``, the value polynomials of
   the three-term recurrence (:func:`value_sequence`) evaluated at ``B1*``.
+  The ladder runs the recurrence in monic form on the array with its
+  denominators cleared, so symbolic levels stay polynomial, and divides
+  each level once.
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
   multiplicities and the order ``n``, with ``P Q = n I`` exactly.
 * :class:`IntersectionTensor` -- the array ``p^k_ij``, computed from the
@@ -283,10 +286,32 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
     the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is
     :func:`value_sequence` at ``B1*``; the tensor is read off as
     ``q^k_ij = Bi*[j, k]``.
+
+    The recurrence runs on cleared numerators.  ``delta`` is the lcm of
+    the polynomial denominators of the entries (1 for a numeric array), and
+    ``P_i = delta^i c1*..ci* v_i*`` follows the monic recurrence of the
+    array of ``delta B1*``: ``c' = 1``, ``a'_i = delta a_i*`` and
+    ``b'(i-1) = delta^2 b(i-1)* ci*``, at ``delta B1*``.  Over rational
+    functions every ``P_i`` has polynomial entries, so its sums and
+    products take no gcd; each level is divided once, by
+    ``delta^i c1*..ci*``.
     """
-    d = spec.d
-    ladder = itertools.islice(value_sequence(spec, spec.first_matrix()), 1, d + 1)
-    return KreinTensor([Matrix.identity(d + 1), *ladder])
+    d, c, a, b = spec.d, spec.c, spec.a, spec.b
+    delta = Fraction(1)
+    for x in c + a + b:
+        if isinstance(x, RatFunc):
+            # Henrici cancellation leaves exactly the part of x's
+            # denominator that delta does not cover yet
+            delta *= RatFunc((delta * x).den)
+    if delta != 1:  # the array of delta B1*
+        c, a, b = ([delta * x for x in xs] for xs in (c, a, b))
+    monic = KreinTridiagonal(d, (Fraction(1),) * d, a, [x * y for x, y in zip(b, c)])
+    mats, div = [Matrix.identity(d + 1)], Fraction(1)
+    ladder = itertools.islice(value_sequence(monic, spec.first_matrix().scale(delta)), 1, d + 1)
+    for ci, p in zip(c, ladder):
+        div *= ci
+        mats.append(p / div)
+    return KreinTensor(mats)
 
 
 def value_sequence(spec: KreinTridiagonal, x):

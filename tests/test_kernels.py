@@ -135,3 +135,37 @@ def test_ratfunc_product_is_the_entrywise_sum():
         a = [[entry() for _ in range(n)] for _ in range(n)]
         b = [[entry() for _ in range(n)] for _ in range(n)]
         assert (Matrix(a) * Matrix(b)).rows == tuple(map(tuple, _entrywise_product(a, b)))
+
+
+def test_sparse_ratfunc_product_is_the_dense_sum():
+    # the RatFunc product skips zero factors; the dense sum takes every term.
+    # Zeros come as Fraction and as RatFunc, with one all-zero row and column.
+    m, c = RatFunc.var("m"), RatFunc.var("c")
+    rng = random.Random(12)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return Fraction(0)
+        if kind < 0.5:
+            return RatFunc.zero()
+        if kind < 0.6:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return (rng.randint(-3, 3) * c + rng.randint(1, 2) * m) / (m + rng.randint(-2, 2) * c + 3)
+
+    for _ in range(12):
+        nr, nk, nc = (rng.randint(2, 5) for _ in range(3))
+        a = [[entry() for _ in range(nk)] for _ in range(nr)]
+        b = [[entry() for _ in range(nc)] for _ in range(nk)]
+        a[rng.randrange(nr)] = [RatFunc.zero()] * nk
+        zero_col = rng.randrange(nc)
+        for row in b:
+            row[zero_col] = Fraction(0)
+        a[0][0] = m  # at least one symbolic entry on each side
+        b[0][0] = c
+        got = Matrix(a) * Matrix(b)
+        want = _entrywise_product(a, b)
+        assert got == Matrix(want) and hash(got) == hash(Matrix(want))
+        for row, want_row in zip(got.rows, want):
+            assert list(row) == want_row
+            assert list(map(str, row)) == list(map(str, want_row))

@@ -85,6 +85,12 @@ def test_ratfunc_matrix_inverse():
     assert a * a.inverse() == Matrix.identity(2)
 
 
+def test_equal_matrices_with_mixed_zeros_hash_alike():
+    m = RatFunc.var("m")
+    a, b = Matrix([[RatFunc.zero(), m]]), Matrix([[Fraction(0), m]])
+    assert a == b and len({a, b}) == 1
+
+
 def test_shape_checks():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3, 4]]) * Matrix([[1, 2, 3]])

@@ -232,6 +232,16 @@ class TestRatFunc:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_equal_values_hash_alike(self):
+        # a constant hashes as the Fraction it equals, a polynomial RatFunc
+        # as its MultiPoly, so mixed sets and dict keys stay consistent
+        for x in (0, 3, Fraction(1, 2), Fraction(-7, 3)):
+            for y in (RatFunc.const(x), MultiPoly.const(x)):
+                assert y == Fraction(x) and hash(y) == hash(Fraction(x))
+        for p in (m, (m * m - 3) / 2, MultiPoly.var("b") * m + 1):
+            assert RatFunc(p) == p and hash(RatFunc(p)) == hash(p)
+        assert len({RatFunc.const(2), MultiPoly.const(2), Fraction(2), 2}) == 1
+
     def test_subs(self):
         b4 = RatFunc.var("b4")
         c2 = RatFunc.var("c2")

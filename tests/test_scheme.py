@@ -1,10 +1,11 @@
 import itertools
+import random
 import signal
 from fractions import Fraction
 
 import pytest
 
-from asx.casev import casev_spec
+from asx.casev import _free_tridiagonal, casev_spec
 from asx.errors import (
     InvalidPartition,
     InvariantViolation,
@@ -34,6 +35,7 @@ from asx.scheme import (
     scheme_params,
     tensor_checks,
     tridiagonal_from_tensor,
+    value_sequence,
 )
 
 K4 = KreinTridiagonal(1, c=[1], a=[2], b=[3])
@@ -95,6 +97,58 @@ class TestLadder:
             t = krein_ladder(spec)
             for a, b in itertools.combinations(t.mats, 2):
                 assert a * b == b * a
+
+
+def _random_array(rng: random.Random) -> KreinTridiagonal:
+    """A tridiagonal array with signed rational entries (c1* = 1, no zero
+    c* or b*); not the array of a scheme, only of the recurrence."""
+
+    def value(nonzero):
+        while True:
+            x = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+            if x or not nonzero:
+                return x
+
+    d = rng.randint(1, 6)
+    return KreinTridiagonal(
+        d,
+        c=[1] + [value(True) for _ in range(d - 1)],
+        a=[value(False) for _ in range(d)],
+        b=[value(True) for _ in range(d)],
+    )
+
+
+SQRT5 = QuadraticNumber(0, 1, 5)
+LADDER_ROUTE_SPECS = {
+    "casev-symbolic": lambda: casev_spec(None).spec,
+    "free": lambda: _free_tridiagonal({}),
+    "free-b4": lambda: _free_tridiagonal({"b4": 1}),
+    "free-b4-a3": lambda: _free_tridiagonal({"b4": 1, "a3": 0}),
+    **{f"casev-m{m}": (lambda m=m: casev_spec(m).spec)
+       for m in (Fraction(3, 2), 2, 3, 5, 7)},
+    **{f"H({d},{q})": (lambda d=d, q=q: hamming(d, q)) for d in range(1, 7) for q in (2, 3, 4)},
+    "pentagon": lambda: C5,
+    "Q(sqrt 5)": lambda: KreinTridiagonal(
+        3, c=[1, (1 + SQRT5) / 2, SQRT5], a=[SQRT5 - 1, 0, Fraction(1, 3)], b=[2, -SQRT5, 3]
+    ),
+    "petersen": lambda: tridiagonal_from_tensor(
+        scheme_from_relations(named_scheme("petersen", None)).kreins
+    ),
+    **{f"random-{k}": (lambda k=k: _random_array(random.Random(k))) for k in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", LADDER_ROUTE_SPECS)
+def test_ladder_matches_the_plain_recurrence(name):
+    # the cleared monic ladder against Bi* = v_i*(B1*) divided at every step
+    spec = LADDER_ROUTE_SPECS[name]()
+    d = spec.d
+    plain = [Matrix.identity(d + 1),
+             *itertools.islice(value_sequence(spec, spec.first_matrix()), 1, d + 1)]
+    got = krein_ladder(spec).mats
+    assert list(got) == plain
+    for g, p in zip(got, plain):
+        assert [list(map(str, r)) for r in g.rows] == [list(map(str, r)) for r in p.rows]
 
 
 class TestDualEigensystem:
