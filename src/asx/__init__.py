@@ -54,6 +54,7 @@ from .scheme import (
     first_eigenmatrix,
     fuse,
     intersection_tensor,
+    krein_column,
     krein_ladder,
     scheme_params,
     tridiagonal_from_tensor,

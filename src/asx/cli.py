@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import casev
 from .errors import (
@@ -189,7 +190,10 @@ def _cmd_casev(args) -> int:
     return EXIT_OK if result.verified else EXIT_INTERNAL
 
 
+@lru_cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`run` and shared by the rest;
+    parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="asx",
         description="Exact association-scheme parameter computations.",

@@ -10,7 +10,8 @@ Everything here works on exact scalars.  The central objects:
   the three-term recurrence (:func:`value_sequence`) evaluated at ``B1*``.
   The ladder runs the recurrence in monic form on the array with its
   denominators cleared, so symbolic levels stay polynomial, and divides
-  each level once.
+  each level once; :func:`krein_column` runs the same recurrence on one
+  column.
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
   multiplicities and the order ``n``, with ``P Q = n I`` exactly.
 * :class:`IntersectionTensor` -- the array ``p^k_ij``, computed from the
@@ -232,7 +233,8 @@ class StructureType(Enum):
 
 class SchemeParams(NamedTuple):
     """Eigenmatrices plus derived data for one parameter set; ``intersections``
-    holds counted intersection numbers when an oracle supplies them."""
+    holds the intersection numbers when they are known already (counted by
+    an oracle, or computed by :func:`intersection_tensor`)."""
 
     d: int
     n: Fraction
@@ -279,22 +281,16 @@ class FeasibilityReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
-    """``B0* = I`` and ``Bi* = v_i*(B1*)`` for ``1 <= i <= d``.
+def _cleared_levels(spec: KreinTridiagonal, start=None):
+    """Yield ``(P_i, delta^i c1*..ci*)`` for ``1 <= i <= d``, where
+    ``P_i / (delta^i c1*..ci*) = Bi*`` (``Bi* start`` with a start vector).
 
-    In a Q-polynomial scheme every Krein matrix is the value polynomial of
-    the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is
-    :func:`value_sequence` at ``B1*``; the tensor is read off as
-    ``q^k_ij = Bi*[j, k]``.
-
-    The recurrence runs on cleared numerators.  ``delta`` is the lcm of
-    the polynomial denominators of the entries (1 for a numeric array), and
-    ``P_i = delta^i c1*..ci* v_i*`` follows the monic recurrence of the
-    array of ``delta B1*``: ``c' = 1``, ``a'_i = delta a_i*`` and
-    ``b'(i-1) = delta^2 b(i-1)* ci*``, at ``delta B1*``.  Over rational
-    functions every ``P_i`` has polynomial entries, so its sums and
-    products take no gcd; each level is divided once, by
-    ``delta^i c1*..ci*``.
+    ``delta`` is the lcm of the polynomial denominators of the entries (1
+    for a numeric array), and ``P_i = delta^i c1*..ci* v_i*`` follows the
+    monic recurrence of the array of ``delta B1*``: ``c' = 1``,
+    ``a'_i = delta a_i*`` and ``b'(i-1) = delta^2 b(i-1)* ci*``, at
+    ``delta B1*``.  Over rational functions every ``P_i`` has polynomial
+    entries, so its sums and products take no gcd; the caller divides.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
     delta = Fraction(1)
@@ -306,25 +302,57 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
     if delta != 1:  # the array of delta B1*
         c, a, b = ([delta * x for x in xs] for xs in (c, a, b))
     monic = KreinTridiagonal(d, (Fraction(1),) * d, a, [x * y for x, y in zip(b, c)])
-    mats, div = [Matrix.identity(d + 1)], Fraction(1)
-    ladder = itertools.islice(value_sequence(monic, spec.first_matrix().scale(delta)), 1, d + 1)
-    for ci, p in zip(c, ladder):
+    levels = value_sequence(monic, spec.first_matrix().scale(delta), start)
+    div = Fraction(1)
+    for ci, p in zip(c, itertools.islice(levels, 1, d + 1)):
         div *= ci
-        mats.append(p / div)
-    return KreinTensor(mats)
+        yield p, div
 
 
-def value_sequence(spec: KreinTridiagonal, x):
+def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
+    """``B0* = I`` and ``Bi* = v_i*(B1*)`` for ``1 <= i <= d``.
+
+    In a Q-polynomial scheme every Krein matrix is the value polynomial of
+    the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is
+    :func:`value_sequence` at ``B1*``; the tensor is read off as
+    ``q^k_ij = Bi*[j, k]``.  The recurrence runs on cleared numerators
+    (see :func:`_cleared_levels`), and each level is divided once.
+    """
+    levels = (p / div for p, div in _cleared_levels(spec))
+    return KreinTensor([Matrix.identity(spec.d + 1), *levels])
+
+
+def krein_column(spec: KreinTridiagonal, i: int, k: int) -> tuple:
+    """Column ``k`` of ``Bi*``: the Krein parameters ``q^k_ij`` for
+    ``j = 0..d``, equal to ``krein_ladder(spec).mats[i].col(k)``.
+
+    The same cleared recurrence as :func:`krein_ladder`, started at the
+    unit vector ``e_k``, so each level is a matrix-vector product with
+    ``delta B1*``; only level i is divided.
+    """
+    d = spec.d
+    if not (0 <= i <= d and 0 <= k <= d):
+        raise IndexError(f"no column {k} of B{i}* for d = {d}")
+    col = Matrix([[Fraction(j == k)] for j in range(d + 1)])  # column k of B0* = I
+    if i:
+        p, div = next(itertools.islice(_cleared_levels(spec, col), i - 1, None))
+        col = p / div
+    return col.col(0)
+
+
+def value_sequence(spec: KreinTridiagonal, x, start=None):
     """Yield ``v0..v(d+1)`` at ``x`` from the three-term recurrence
     ``x v_i = b(i-1) v(i-1) + a_i v_i + c(i+1) v(i+1)`` with ``c(d+1) := 1``.
 
     ``x`` may be an exact number, a RatFunc, a MultiPoly variable (which
     gives the value polynomials) or a Matrix (``v0 = 1`` then stands for
-    the identity).  ``v(d+1)`` annihilates the tridiagonal matrix, so its
-    zeros are the eigenvalues.  Each value is computed only when asked for.
+    the identity).  With a ``start`` vector s (a one-column Matrix when
+    ``x`` is a Matrix) it yields ``v_i(x) s`` instead, from ``v0 = s``.
+    ``v(d+1)`` annihilates the tridiagonal matrix, so its zeros are the
+    eigenvalues.  Each value is computed only when asked for.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
-    prev, cur = Fraction(1), x
+    prev, cur = (Fraction(1), x) if start is None else (start, x * start)
     yield prev
     for i in range(1, d + 1):
         yield cur

@@ -16,11 +16,18 @@ from asx.casev import (
     reject_case_v,
     reported_fused_krein,
     SCREEN_MODULI,
+    SECOND_SCREEN_MODULI,
     search_m,
     square_screen,
     verify_dual_consistency,
 )
-from asx.errors import ConsistencyFailure, DegenerateParameter, InvalidParameter
+from asx.errors import (
+    ConsistencyFailure,
+    DegenerateParameter,
+    InconsistentEigenmatrices,
+    InvalidParameter,
+    VerificationFailure,
+)
 from asx.poly import RatFunc
 from asx.scheme import KreinTridiagonal, krein_ladder
 
@@ -90,6 +97,18 @@ class TestSymbolicChain:
         s4 = tr.steps[3]
         assert s4.verified
         assert "-a2*b3*c4 - a4*b2*c3 + a4*m" in s4.identities[0]
+
+    def test_reads_krein_columns_without_a_ladder(self, monkeypatch):
+        import asx.casev
+        import asx.scheme
+
+        def forbidden(spec):
+            raise AssertionError("derive_section32 must not build a full Krein ladder")
+
+        monkeypatch.setattr(asx.casev, "krein_ladder", forbidden)
+        monkeypatch.setattr(asx.scheme, "krein_ladder", forbidden)
+        tr = derive_section32()
+        assert [s.verified for s in tr.steps] == [True] * 4 + [False] + [True] * 2
 
     def test_steps_2_3_6_7_verify(self):
         tr = derive_section32()
@@ -231,20 +250,32 @@ class TestSearch:
             search_m(0)
 
     def test_residue_screen_rejects_only_non_squares(self):
-        # the tables only skip isqrt: every m they reject has a non-square
-        # (m^2-2m+9)(9m^2-2m+1), so no survivor can be lost
-        tables = [(q, square_screen(q)) for q in SCREEN_MODULI]
-        rejected, plain = 0, []
+        # the tables only skip isqrt: every m that either stage rejects has a
+        # non-square (m^2-2m+9)(9m^2-2m+1), so no survivor can be lost
+        stages = [[(q, square_screen(q)) for q in moduli]
+                  for moduli in (SCREEN_MODULI, SECOND_SCREEN_MODULI)]
+        rejected, plain = [0, 0], []
         for m in range(1, 10**4 + 1):
             value = (m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1)
             r = math.isqrt(value)
             if r * r == value and (m * (7 * m * m - 22 * m + 7)) % r == 0:
                 plain.append(m)
-            if not all(t[m % q] for q, t in tables):
-                rejected += 1
-                assert r * r != value, m
-        assert rejected > 8000  # about 89% of m are screened out
+            for n, tables in enumerate(stages):
+                if not all(t[m % q] for q, t in tables):
+                    rejected[n] += 1
+                    assert r * r != value, (m, n)
+        # about 89% of m are screened out by the first stage, 83% by the second
+        assert rejected[0] > 8000 and rejected[1] > 8000
         assert search_m(10**4) == plain == [1, 5]
+
+    def test_search_is_the_unscreened_loop(self):
+        plain = []
+        for m in range(1, 10**5 + 1):
+            value = (m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1)
+            r = math.isqrt(value)
+            if r * r == value and (m * (7 * m * m - 22 * m + 7)) % r == 0:
+                plain.append(m)
+        assert search_m(10**5) == plain
 
     def test_no_modulus_64_screen(self):
         # the value is a square mod 64 for every m, so 64 would reject nothing
@@ -261,6 +292,36 @@ class TestRejectCaseV:
         # the symbolic branch carries the documented step-5 defect
         assert not v.verified
         assert sum(1 for s in v.branch_b.steps if s.verified) == 6
+
+    def test_intersection_tensor_built_once(self, monkeypatch):
+        import asx.casev
+        import asx.scheme
+
+        calls = []
+        real = asx.scheme.intersection_tensor
+
+        def counted(params):
+            calls.append(params.d)
+            return real(params)
+
+        monkeypatch.setattr(asx.casev, "intersection_tensor", counted)
+        monkeypatch.setattr(asx.scheme, "intersection_tensor", counted)
+        assert "72/7" in reject_case_v(100).rejections[5]
+        assert calls == [5]  # m = 5 only: m = 1 is degenerate
+
+    def test_formulas_disagree_is_a_failed_check(self, monkeypatch):
+        # the battery witnesses the disagreement instead of raising it, so
+        # the run stops at the missing 72/7 witness, as it always has
+        import asx.casev
+        import asx.scheme
+
+        def disagree(params):
+            raise InconsistentEigenmatrices("p^0_{0,0}: 1 (eigen form) vs 2 (dual form)")
+
+        monkeypatch.setattr(asx.casev, "intersection_tensor", disagree)
+        monkeypatch.setattr(asx.scheme, "intersection_tensor", disagree)
+        with pytest.raises(VerificationFailure, match="witness 72/7 missing at m = 5"):
+            reject_case_v(100)
 
     def test_expected_matrices_are_consistent(self):
         # the frozen reference matrices satisfy their own structure

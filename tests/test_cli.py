@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asx.casev import casev_spec
-from asx.cli import run
+from asx.cli import _build_parser, run
 from asx.params import render_params
 
 M5 = render_params(casev_spec(5).spec)
@@ -442,6 +442,37 @@ def test_help_paths(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
     assert run(["nonsense"]) == 2
+
+
+def test_one_parser_serves_every_call(m5_file, capsys):
+    # run builds its parser once per process; calls on the shared parser
+    # print and return exactly what calls on fresh parsers do
+    argvs = [
+        ["--report", "json", "check", m5_file],
+        ["check", m5_file],
+        ["check", m5_file, "--partition", "0|1"],  # an argparse error
+        [],
+        ["casev", "--search-max", "100"],
+    ]
+
+    def outcomes(fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                _build_parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    _build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert _build_parser.cache_info().misses == 1
+    assert shared == outcomes(fresh=True)
+    assert [code for code, _, _ in shared] == [1, 1, 2, 2, 0]
+    assert "unrecognized arguments" in shared[2][2]
+    assert shared[3][1].startswith("usage: asx")
+    assert shared[4][1] == "1 5\n"
 
 
 # --- fuzz: random small params files end in a documented exit code --------

@@ -30,6 +30,7 @@ from asx.scheme import (
     first_eigenmatrix,
     fuse,
     intersection_tensor,
+    krein_column,
     krein_ladder,
     q_condition_failure,
     scheme_params,
@@ -149,6 +150,35 @@ def test_ladder_matches_the_plain_recurrence(name):
     assert list(got) == plain
     for g, p in zip(got, plain):
         assert [list(map(str, r)) for r in g.rows] == [list(map(str, r)) for r in p.rows]
+
+
+@pytest.mark.parametrize("name", ["H(3,3)", "casev-m5", "casev-symbolic", "free-b4", "free-b4-a3"])
+def test_krein_column_is_the_ladder_column(name):
+    spec = LADDER_ROUTE_SPECS[name]()
+    mats = krein_ladder(spec).mats
+    for i, k in itertools.product(range(spec.d + 1), repeat=2):
+        got = krein_column(spec, i, k)
+        assert got == mats[i].col(k)
+        assert list(map(str, got)) == list(map(str, mats[i].col(k)))
+
+
+@pytest.mark.parametrize("i, k", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+def test_krein_column_out_of_range(i, k):
+    with pytest.raises(IndexError):
+        krein_column(C5, i, k)
+
+
+@pytest.mark.parametrize("name", ["H(3,3)", "pentagon", "Q(sqrt 5)", "free-b4", "random-3"])
+def test_value_sequence_from_a_start_vector(name):
+    # v_i(x) s from v0 = s is the matrix sequence times s, for every i <= d+1
+    spec = LADDER_ROUTE_SPECS[name]()
+    x, n = spec.first_matrix(), spec.d + 1
+    starts = [Matrix([[Fraction(j == k)] for j in range(n)]) for k in range(n)]
+    starts.append(Matrix([[Fraction(j * j - 3, j + 2)] for j in range(n)]))
+    for s in starts:
+        got = list(value_sequence(spec, x, s))
+        assert got == [v * s for v in value_sequence(spec, x)]
+        assert got[0] is s
 
 
 class TestDualEigensystem:
