@@ -2,10 +2,10 @@
 """Cross-validate the parameter algebra against schemes built from scratch.
 
 Small named schemes are generated as explicit 0/1 relation matrices; their
-intersection numbers are counted directly and their eigenmatrices obtained
-by exact diagonalization.  The Krein tensor computed that way must agree,
-entry for entry, with the three-term ladder run on the same tridiagonal
-data -- a closed loop between counting and algebra.
+intersection numbers are counted directly, and their eigenmatrices come from
+``dual_eigensystem`` run on the counted B1.  The Krein tensor computed that
+way must agree, entry for entry, with the three-term ladder run on the same
+tridiagonal data -- a closed loop between counting and algebra.
 """
 
 from asx import (

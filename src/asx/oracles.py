@@ -2,15 +2,17 @@
 
 Small named schemes (complete graphs, cycles, hypercubes, the Petersen
 graph) are generated as 0/1 distance relations; their intersection numbers
-are counted directly from matrix products.  B1 and B1* obey the same
-three-term recurrence, so :func:`~asx.scheme.tridiagonal_from_tensor` reads
-the c/a/b data off the (P-polynomial ordered) counted B1, and the
-eigenmatrices come from the same eigensystem code as the Krein side.  This
-module cross-validates the parameter algebra in :mod:`asx.scheme`: the
-Krein tensor obtained here from the counted numbers must coincide with the
-ladder output for the same tridiagonal data, and the counted p^k_ij with
-the two eigenmatrix formulas.  Those two comparison targets, the ladder and
-the counts, do not run through the eigensystem code they check.
+are counted directly, each entry of A_i A_j as a popcount of a row and a
+column held as int bitsets, and every product is checked to lie in the
+span of the relations.  B1 and B1* obey the same three-term recurrence,
+so :func:`~asx.scheme.tridiagonal_from_tensor` reads the c/a/b data off
+the (P-polynomial ordered) counted B1, and the eigenmatrices come from the
+same eigensystem code as the Krein side.  This module cross-validates the
+parameter algebra in :mod:`asx.scheme`: the Krein tensor obtained here
+from the counted numbers must coincide with the ladder output for the same
+tridiagonal data, and the counted p^k_ij with the two eigenmatrix
+formulas.  Those two comparison targets, the ladder and the counts, do not
+run through the eigensystem code they check.
 """
 
 from __future__ import annotations
@@ -65,22 +67,28 @@ class RelationSet(NamedTuple):
                     raise NotAScheme(f"relations do not partition at ({x},{y})")
 
 
-def _matmul(A, B, n):
-    Bc = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bc] for row in A]
-
-
 def _count_intersections(rels: RelationSet):
     """p^k_ij read off A_i A_j = sum_k p^k_ij A_k; NotAScheme when the
-    products leave the span or the counts are position-dependent."""
+    products leave the span or the counts are position-dependent.
+
+    Each row and each column of a relation is held as an int bitset, and
+    entry (x, y) of A_i A_j is the popcount of row x of A_i AND column y of
+    A_j, so no relation is assumed symmetric.  Every entry of every product
+    is still checked against the span."""
     n, d, relations = rels.n, rels.d, rels.relations
     # validate() leaves no relation empty, so each has a first pair (x, y)
     rep = [next((x, y) for x, row in enumerate(A) for y, v in enumerate(row) if v)
            for A in relations]
+
+    def bits(v):
+        return int("".join(map(str, v)), 2)
+
+    rows = [[bits(r) for r in A] for A in relations]
+    cols = [[bits(c) for c in zip(*A)] for A in relations]
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
-            M = _matmul(relations[i], relations[j], n)
+            M = [[(r & c).bit_count() for c in cols[j]] for r in rows[i]]
             coeffs = [M[rep[k][0]][rep[k][1]] for k in range(d + 1)]
             for x in range(n):
                 for y in range(n):

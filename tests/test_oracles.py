@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asx.errors import (
     InvalidParameter,
@@ -10,7 +12,13 @@ from asx.errors import (
     UnsupportedAlgebraicDegree,
 )
 from asx.linalg import Matrix
-from asx.oracles import RelationSet, _count_intersections, named_scheme, scheme_from_relations
+from asx.oracles import (
+    RelationSet,
+    _count_intersections,
+    _distance_scheme,
+    named_scheme,
+    scheme_from_relations,
+)
 from asx.scalars import QuadraticNumber
 from asx.scheme import (
     IntersectionTensor,
@@ -22,11 +30,18 @@ from asx.scheme import (
 
 NAMED = [("complete", 4), ("cycle", 5), ("petersen", None), ("hypercube", 3)]
 ALL_NAMED = (
-    [("complete", n) for n in range(2, 13)]
-    + [("cycle", n) for n in range(3, 13)]
+    [("complete", n) for n in range(2, 17)]
+    + [("cycle", n) for n in range(3, 17)]
     + [("hypercube", n) for n in range(1, 7)]
     + [("petersen", None)]
 )
+
+# a pair violating closure: I plus an asymmetric-by-content split
+NOT_A_SCHEME = _distance_scheme(
+    4, 2, lambda i, j: 0 if i == j else 1 if {i, j} in ({0, 1}, {2, 3}, {0, 2}) else 2
+)
+# the complete bipartite graph K_{3,3}: across the parts, then within a part
+K33 = _distance_scheme(6, 2, lambda x, y: 0 if x == y else 1 if x // 3 != y // 3 else 2)
 
 
 class TestNamedSchemes:
@@ -46,17 +61,8 @@ class TestNamedSchemes:
             named_scheme("complete", 1)
 
     def test_not_a_scheme(self):
-        # a pair violating closure: I plus an asymmetric-by-content split
-        ident = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-        a1 = tuple(
-            tuple(1 if (i, j) in ((0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (2, 0)) else 0 for j in range(4))
-            for i in range(4)
-        )
-        a2 = tuple(
-            tuple(1 - ident[i][j] - a1[i][j] for j in range(4)) for i in range(4)
-        )
         with pytest.raises(NotAScheme):
-            scheme_from_relations(RelationSet(4, (ident, a1, a2)))
+            scheme_from_relations(NOT_A_SCHEME)
 
     def test_empty_relation(self):
         # I, the triangle's edges J - I, and an all-zero relation: the three
@@ -169,3 +175,69 @@ def test_counted_tensor_is_the_ladder_on_its_own_b1(name, param):
     # in cubic fields.
     counted = IntersectionTensor(map(Matrix, _count_intersections(named_scheme(name, param))))
     assert krein_ladder(tridiagonal_from_tensor(counted)).mats == counted.mats
+
+
+def _dense_count(rels):
+    """The counter's reference: every A_i A_j as a dense integer product,
+    then the same span check and message as the counter."""
+    n, d, relations = rels.n, rels.d, rels.relations
+    rep = [next((x, y) for x, row in enumerate(A) for y, v in enumerate(row) if v)
+           for A in relations]
+    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(d + 1):
+            cols = list(zip(*relations[j]))
+            M = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in relations[i]]
+            coeffs = [M[x][y] for x, y in rep]
+            for x in range(n):
+                for y in range(n):
+                    if M[x][y] != sum(c * relations[k][x][y] for k, c in enumerate(coeffs)):
+                        raise NotAScheme(f"A{i} A{j} is not in the span of the relations")
+            for k, c in enumerate(coeffs):
+                p[i][j][k] = Fraction(c)
+    return p
+
+
+def _outcome(count, rels):
+    """The counted tensor, or the NotAScheme message."""
+    try:
+        return count(rels)
+    except NotAScheme as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name, param", ALL_NAMED)
+def test_counter_is_the_dense_product(name, param):
+    rels = named_scheme(name, param)
+    assert _count_intersections(rels) == _dense_count(rels)
+
+
+@pytest.mark.parametrize(
+    "rels, is_scheme", [(NOT_A_SCHEME, False), (K33, True)], ids=["not-a-scheme", "K33"]
+)
+def test_counter_is_the_dense_product_off_the_named_list(rels, is_scheme):
+    got = _outcome(_count_intersections, rels)
+    assert got == _outcome(_dense_count, rels)
+    assert isinstance(got, list) == is_scheme
+
+
+@st.composite
+def three_relations(draw):
+    """I plus two relations partitioning the other pairs of n <= 7 points
+    at random, so neither need be symmetric; both are non-empty."""
+    n = draw(st.integers(2, 7))
+    pairs = n * (n - 1)
+    labels = iter(draw(st.lists(st.sampled_from((1, 2)), min_size=pairs, max_size=pairs)))
+    label = [[0 if x == y else next(labels) for y in range(n)] for x in range(n)]
+    rels = RelationSet(
+        n, tuple(tuple(tuple(int(v == k) for v in row) for row in label) for k in range(3))
+    )
+    assume(all(any(map(any, A)) for A in rels.relations))
+    return rels
+
+
+@settings(max_examples=300, deadline=None)
+@given(three_relations())
+def test_counter_is_the_dense_product_on_random_partitions(rels):
+    # called without validate(), which would refuse the non-symmetric ones
+    assert _outcome(_count_intersections, rels) == _outcome(_dense_count, rels)
