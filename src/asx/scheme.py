@@ -15,7 +15,11 @@ Everything here works on exact scalars.  The central objects:
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
   multiplicities and the order ``n``, with ``P Q = n I`` exactly.
 * :class:`IntersectionTensor` -- the array ``p^k_ij``, computed from the
-  eigenmatrices by two independent formulas that must agree.
+  eigenmatrices by two independent formulas that must agree.  Both run on
+  every entry, on integer numerators over Q and Q(sqrt D), and are compared
+  by cross-multiplying both integer components; ``P = n Q^-1`` comes from
+  the fraction-free elimination of :mod:`asx.linalg`.  Column sums run on
+  integer numerators too.
 
 All operations are pure functions over immutable values; candidate loops
 (ordering enumeration, feasibility checks) are order-independent and their
@@ -43,6 +47,7 @@ from .poly import MultiPoly, RatFunc, roots_low_degree
 from .scalars import (
     QuadraticNumber,
     dot_parts,
+    exact_sums,
     from_integer_parts,
     integer_parts,
     is_integer_scalar,
@@ -101,8 +106,7 @@ class KreinTridiagonal:
 
     def column_sums(self) -> tuple:
         """Column sums of ``B1*`` (equal to ``b0*`` for genuine parameters)."""
-        m = self.first_matrix()
-        return tuple(sum(m.col(k), Fraction(0)) for k in range(self.d + 1))
+        return self.first_matrix().column_sums()
 
     def __eq__(self, other):
         if not isinstance(other, KreinTridiagonal):
@@ -138,10 +142,7 @@ class KreinTensor:
 
     def multiplicities(self) -> tuple:
         """``m_i`` as the column sums of ``Bi*`` (column 0)."""
-        return tuple(
-            sum((self.mats[i][j, 0] for j in range(self.d + 1)), Fraction(0))
-            for i in range(self.d + 1)
-        )
+        return tuple(exact_sums([m.col(0)])[0] for m in self.mats)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -427,30 +428,30 @@ def scheme_params(spec: KreinTridiagonal) -> SchemeParams:
     )
 
 
-def triple_sums(rows, weights) -> list:
+def triple_sums(rows, weights, radicand: int = 0):
     """``t[i][j][k] = sum_u w_u r_u[i] r_u[j] r_u[k]`` over equal-length rows
-    of exact numbers in one field, Q or Q(sqrt D).
+    of exact numbers in one field, Q or Q(sqrt D), as integer pairs.
 
-    The sums run on integer numerators over one common denominator
+    Returns ``(t, L, D)`` with ``t[i][j][k] = (A, B)``, the value
+    ``(A + B sqrt D)/L`` over one common ``L``; ``D`` is the radicand of the
+    inputs, else ``radicand``, and 0 over Q
     (:func:`~asx.scalars.integer_parts`).  The weighted pair products
     ``w_u r_u[i] r_u[j]`` are formed once per ``(i, j, u)``; every entry is a
-    full sum (none is filled in by symmetry) and is rebuilt once.
+    full sum (none is filled in by symmetry).
     """
     n = len(rows[0])
-    wa, wb, wden, rad = integer_parts(weights)
+    wa, wb, wden, rad = integer_parts(weights, radicand)
     ra, rb, rden, rad = integer_parts([x for r in rows for x in r], rad)
     cols = [(ra[i::n], rb[i::n]) for i in range(n)]  # r_u[i] over u
-    den = wden * rden ** 3
     out = []
     for ia, ib in cols:
         wi = times_parts(wa, wb, ia, ib, rad)
         plane = []
         for ja, jb in cols:
             wij = times_parts(*wi, ja, jb, rad)
-            plane.append([from_integer_parts(*dot_parts(*wij, ka, kb, rad), den, rad)
-                          for ka, kb in cols])
+            plane.append([dot_parts(*wij, ka, kb, rad) for ka, kb in cols])
         out.append(plane)
-    return out
+    return out, wden * rden ** 3, rad
 
 
 def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
@@ -459,7 +460,10 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     Primary:  p^k_ij = (1 / (n k_k)) sum_u m_u p_i(u) p_j(u) p_k(u)
     Dual:     p^k_ij = (k_i k_j / n) sum_u q_u(i) q_u(j) q_u(k) / m_u^2
 
-    Both are evaluated exactly and must agree entrywise.
+    Both are evaluated exactly on every entry and must agree.  They run on
+    integer pairs (:func:`triple_sums`): each side is a pair ``(A, B)`` over
+    its own denominator, the two are compared by cross-multiplying both
+    components, and each ``p^k_ij`` is rebuilt once.
     """
     d, n = params.d, params.n
     P, Q = params.P, params.Q
@@ -469,21 +473,29 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
     if not all(m):
         raise InvariantViolation("zero multiplicity")
     rng = range(d + 1)
-    primary = triple_sums([P.row(u) for u in rng], m)
-    dual = triple_sums([Q.col(u) for u in rng], [1 / (mu * mu) for mu in m])
-    by_nk = [1 / (n * kk) for kk in k]
-    kk_by_n = [[ki * kj / n for kj in k] for ki in k]
+    primary, den1, rad = triple_sums([P.row(u) for u in rng], m)
+    dual, den2, rad = triple_sums([Q.col(u) for u in rng], [1 / (mu * mu) for mu in m], rad)
+    ca, cb, lc, rad = integer_parts([1 / (n * kk) for kk in k], rad)
+    ea, eb, le, rad = integer_parts([ki * kj / n for ki in k for kj in k], rad)
+    # v1 = primary * c_k / (den1 lc) and v2 = dual * e_ij / (den2 le), both
+    # brought over den = den1 lc den2 le
+    s1, s2 = den2 * le, den1 * lc
+    den = s1 * s2
+    c = [(x * s1, y * s1) for x, y in zip(ca, cb)]
     p = [[[None] * (d + 1) for _ in rng] for _ in rng]
     for i in rng:
         for j in rng:
+            ua, ub = ea[i * (d + 1) + j] * s2, eb[i * (d + 1) + j] * s2
             for kk in rng:
-                v1 = primary[i][j][kk] * by_nk[kk]
-                v2 = dual[i][j][kk] * kk_by_n[i][j]
+                (a1, b1), (xa, xb), (a2, b2) = primary[i][j][kk], c[kk], dual[i][j][kk]
+                v1 = a1 * xa + rad * b1 * xb, a1 * xb + b1 * xa
+                v2 = a2 * ua + rad * b2 * ub, a2 * ub + b2 * ua
                 if v1 != v2:
                     raise InconsistentEigenmatrices(
-                        f"p^{kk}_{{{i},{j}}}: {v1} (eigen form) vs {v2} (dual form)"
+                        f"p^{kk}_{{{i},{j}}}: {from_integer_parts(*v1, den, rad)} (eigen form) "
+                        f"vs {from_integer_parts(*v2, den, rad)} (dual form)"
                     )
-                p[i][j][kk] = v1
+                p[i][j][kk] = from_integer_parts(*v1, den, rad)
     return IntersectionTensor(map(Matrix, p))
 
 
@@ -527,12 +539,10 @@ def _positive_integer_check(name: str, values, sym: str) -> FeasibilityCheck:
 
 def _column_sum_check(name: str, tensor, totals, sym: str, total: str) -> FeasibilityCheck:
     """Every column of every ``Bi`` of ``tensor`` sums to ``totals[i]``."""
-    rng = range(len(totals))
     bad = []
-    for i in rng:
-        for k in rng:
-            s = sum((tensor.q(i, j, k) for j in rng), Fraction(0))
-            if s != totals[i]:
+    for i, (mat, total_i) in enumerate(zip(tensor.mats, totals)):
+        for k, s in enumerate(mat.column_sums()):
+            if s != total_i:
                 bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {s} != {total}_{i}")
     return FeasibilityCheck(name, not bad, tuple(bad))
 

@@ -102,11 +102,11 @@ def test_triple_sums_match_the_entrywise_loop(d):
         n, count = rng.randint(1, 5), rng.randint(1, 6)
         rows = [[_entry(rng, d) for _ in range(n)] for _ in range(count)]
         weights = [_entry(rng, d) for _ in range(count)]
-        got = triple_sums(rows, weights)
+        got, den, rad = triple_sums(rows, weights)
         want = _entrywise_triple(rows, weights)
         for plane, want_plane in zip(got, want):
             for line, want_line in zip(plane, want_plane):
-                _same(line, want_line)
+                _same([from_integer_parts(a, b, den, rad) for a, b in line], want_line)
 
 
 def test_mixed_radicands_raise():
@@ -119,6 +119,15 @@ def test_mixed_radicands_raise():
         triple_sums([[r2, 1]], [r3])
     with pytest.raises(MixedScalars):
         integer_parts([r3], radicand=2)
+    # differences, scalar shifts and scalings fail in the entrywise
+    # arithmetic, before any result is built
+    for build in (
+        lambda: Matrix([[r2, 1]]) - Matrix([[r3, 1]]),
+        lambda: Matrix([[r2, 1], [1, 1]]) - r3,
+        lambda: Matrix([[r2, 1]]).scale(r3),
+    ):
+        with pytest.raises(MixedScalars, match=r"^cannot combine sqrt\(2\) with sqrt\(3\)$"):
+            build()
 
 
 def test_ratfunc_product_is_the_entrywise_sum():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from asx.errors import MixedScalars, SingularMatrix
-from asx.linalg import Matrix, nullspace
+from asx.errors import InvariantViolation, MixedScalars, SingularMatrix
+from asx.linalg import Matrix, _check_kinds, _exact_quotients, nullspace
 from asx.poly import RatFunc
 from asx.scalars import QuadraticNumber
 from asx.scheme import KreinTensor
@@ -79,6 +79,42 @@ def test_mixed_scalars_rejected():
     Matrix([[QuadraticNumber(0, 1, 2), Fraction(1, 2)], [3, QuadraticNumber(1)]])
 
 
+R2, R3, R5 = QuadraticNumber(0, 1, 2), QuadraticNumber(1, 1, 3), QuadraticNumber(0, 1, 5)
+M = RatFunc.var("m")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Matrix([[R2, 0]]) - Matrix([[0, R3]]), "matrix mixes sqrt(2) and sqrt(3)"),
+        (lambda: Matrix([[R5, 0]]) - Matrix([[0, M]]),
+         "matrix mixes quadratic irrationals with symbolic entries"),
+        (lambda: Matrix([[1, R2], [1, 1]]) - R3, "matrix mixes sqrt(3) and sqrt(2)"),
+        (lambda: Matrix([[1, M], [1, 1]]) - R5,
+         "matrix mixes quadratic irrationals with symbolic entries"),
+        (lambda: R3 * Matrix([[R2, 1]]), "cannot combine sqrt(2) with sqrt(3)"),
+        (lambda: Matrix([[R2, 1]]) / R3, "cannot combine sqrt(2) with sqrt(3)"),
+        (lambda: Matrix([[1, 2]]).scale(0.5), "unsupported entry type float"),
+        (lambda: Matrix([[1, 2], [3, 4]]) - 0.5, "unsupported entry type float"),
+    ],
+)
+def test_results_whose_fields_do_not_join_raise(build, message):
+    # differences, scalar shifts and scalings across two fields: the same
+    # MixedScalars, with the same message, as a matrix built from the rows
+    with pytest.raises(MixedScalars) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_exact_quotients():
+    assert _exact_quotients([6, -9, 0], 3) == [2, -3, 0]
+    assert _exact_quotients([6, -9, 0], -3) == [-2, 3, 0]
+    with pytest.raises(InvariantViolation):
+        _exact_quotients([6, 7], 3)
+    with pytest.raises(InvariantViolation):
+        _exact_quotients([6, 7], -3)
+
+
 def test_ratfunc_matrix_inverse():
     m = RatFunc.var("m")
     a = Matrix([[m, 1], [1, m]])
@@ -120,7 +156,13 @@ def test_nullspace():
 def _random_matrices(field: str):
     """Seeded square and non-square matrices over one field, with singular
     and rank-deficient ones (products through a narrower middle dimension,
-    a repeated row, a zero column) mixed in."""
+    a repeated row, a zero column, a column twice the one before it, so
+    that a column without a pivot comes before columns with one) mixed in.
+    Over Q and Q(sqrt 21) there are 8 x 8 ones too: entries of the size of
+    an H(7, 3) eigenmatrix, ones with numerators near 10**20 (the exact
+    divisions of the elimination run on multi-word ints), and an
+    upper-triangular matrix with its last row moved to the top, so that the
+    first-nonzero pivot rule swaps rows at every column but the last."""
     rng = random.Random(sum(map(ord, field)))
     if field == "Q":
         sizes = range(1, 8)
@@ -159,8 +201,22 @@ def _random_matrices(field: str):
             rows[-1] = list(rows[0])
             out.append(rows)
             out.append([[Fraction(0)] + r[1:] for r in rand(n, n)])
+            out.append([r[:1] + [r[0] * 2] + r[2:] for r in rand(n, n + 1)])
             out.append(rand(n - 1, n))
             out.append(product(rand(n + 1, 1), rand(1, n)))
+    if field in ("Q", "Q(sqrt 21)"):
+        rad = 21 if field != "Q" else 0
+
+        def big(size):
+            a = Fraction(rng.randint(-size, size), rng.randint(1, 7))
+            return QuadraticNumber(a, rng.randint(-size, size), rad) if rad else a
+
+        for size in (2187, 10**20):
+            out.append([[big(size) for _ in range(8)] for _ in range(8)])
+        upper = [[big(2187) if j > i else Fraction(0) for j in range(8)] for i in range(8)]
+        for i in range(8):
+            upper[i][i] = big(2187) or Fraction(1)
+        out.append([upper[-1]] + upper[:-1])
     return [Matrix(rows) for rows in out]
 
 
@@ -181,6 +237,52 @@ def test_scalar_operands_stand_for_multiples_of_the_identity(field, s):
         assert s * a == a.scale(s)
         assert a / s == a.scale(Fraction(1) / s)
     assert 3 * Matrix.identity(2) == Matrix([[3, 0], [0, 3]])
+
+
+@pytest.mark.parametrize(
+    "field, s",
+    [
+        ("Q", Fraction(-7, 3)),
+        ("Q(sqrt 5)", QuadraticNumber(Fraction(1, 2), 3, 5)),
+        ("Q(m)", (RatFunc.var("m") + 2) / (RatFunc.var("m") - 1)),
+    ],
+)
+def test_field_is_the_field_of_the_rows(field, s):
+    # every result's field is what _check_kinds finds afresh on its rows,
+    # also when the irrational or symbolic parts cancel (a - a, a * a^-1,
+    # scaling by 0) and when a rational operand meets one of the field
+    def same(x):
+        assert x.field == _check_kinds(x.rows)
+
+    mats = _random_matrices(field)
+    rational = _random_matrices("Q")
+    for n in range(1, 5):
+        same(Matrix.identity(n))
+    for a, b in zip(mats, mats[1:] + mats[:1]):
+        same(a)
+        same(a.scale(s))
+        same(s * a)
+        same(a / s)
+        same(a.scale(0))
+        same(a - a)
+        if (a.nrows, a.ncols) == (b.nrows, b.ncols):
+            same(a - b)
+        if a.ncols == b.nrows:
+            same(a * b)
+        for q in rational:
+            if (q.nrows, q.ncols) == (a.nrows, a.ncols):
+                same(a - q)
+                same(q - a)
+            if q.nrows == a.ncols:
+                same(a * q)
+            if a.nrows == q.ncols:
+                same(q * a)
+        if a.nrows == a.ncols:
+            same(a - s)
+            same(a - 1)
+            if a.determinant():
+                same(a.inverse())
+                same(a * a.inverse())
 
 
 @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 21)", "Q(m)"])

@@ -7,6 +7,7 @@ import pytest
 
 from asx.casev import _free_tridiagonal, casev_spec
 from asx.errors import (
+    InconsistentEigenmatrices,
     InvalidPartition,
     InvariantViolation,
     RepeatedEigenvalue,
@@ -275,6 +276,20 @@ class TestIntersectionTensor:
     def test_pentagon(self):
         params = scheme_params(C5)
         assert intersection_tensor(params).p(1, 1, 2) == 1
+
+    @pytest.mark.parametrize("delta", [QuadraticNumber(0, Fraction(1, 7), 5), Fraction(1, 7)])
+    def test_one_entry_of_p_off_in_one_component(self, delta):
+        # P[1][1] of the pentagon (over Q(sqrt 5)) moved by a purely irrational
+        # or a purely rational delta.  Column 0 of P is all ones, so the first
+        # entry the move reaches is p^1_{0,0} = 0: the eigen form gains
+        # m_1 delta / (n k_1) = delta / 5 and the dual form is unchanged.  The
+        # two sides then differ in one integer component only.
+        params = scheme_params(C5)
+        rows = [list(r) for r in params.P.rows]
+        rows[1][1] += delta
+        with pytest.raises(InconsistentEigenmatrices) as exc:
+            intersection_tensor(params._replace(P=Matrix(rows)))
+        assert str(exc.value) == f"p^1_{{0,0}}: {delta / 5} (eigen form) vs 0 (dual form)"
 
     def test_column_sums_are_valencies(self):
         params = scheme_params(CUBE)
