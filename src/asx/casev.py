@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailure,
 )
 from .linalg import Matrix, nullspace
-from .poly import RatFunc, roots_low_degree
+from .poly import MultiPoly, RatFunc, roots_low_degree
 from .scalars import QuadraticNumber, exact_sqrt, is_integer_scalar
 from .scheme import (
     FusionPartition,
@@ -453,6 +453,18 @@ class CaseVFusionResult(NamedTuple):
     matches_expected_s: bool
 
 
+def _charpoly(m: Matrix) -> list:
+    """Coefficients of det(x I - m), constant term first, for a rational m:
+    Faddeev-LeVerrier, with N_1 = I, c_(n-k) = -tr(m N_k)/k and
+    N_(k+1) = m N_k + c_(n-k) I, so no elimination over Q(x) runs."""
+    n, coeffs, nk = m.nrows, [Fraction(1)], Matrix.identity(m.nrows)
+    for k in range(1, n + 1):
+        mn = m * nk
+        coeffs.append(-sum(mn[i, i] for i in range(n)) / k)
+        nk = mn - -coeffs[-1]  # m N_k + c_(n-k) I
+    return coeffs[::-1]
+
+
 def _fused_eigenmatrix(fused: KreinTensor) -> Matrix:
     """Second eigenmatrix of a fusion, read off its Krein matrices alone.
 
@@ -460,7 +472,8 @@ def _fused_eigenmatrix(fused: KreinTensor) -> Matrix:
     ``sum_k s^k_ij u_k = u_i u_j``, that is ``Ci* u^T = u_i u^T`` for every
     i.  So the rows are the eigenvectors, scaled to ``u_0 = 1``, of
     ``M_t = C1* + t C2* + ... + t^(e-1) Ce*`` at the first t = 0, 1, 2, ...
-    where M_t has e + 1 distinct eigenvalues.  Row u has eigenvalue
+    where M_t has e + 1 distinct eigenvalues, the roots of its
+    characteristic polynomial (:func:`_charpoly`).  Row u has eigenvalue
     ``sum_i u_i t^(i-1)``, so two distinct rows agree at no more than e - 1
     values of t, and one of the first (e-1) C(e+1, 2) + 1 values separates
     every pair.  Each row is then checked against every ``s^k_ij``; the
@@ -468,16 +481,13 @@ def _fused_eigenmatrix(fused: KreinTensor) -> Matrix:
     Raises VerificationFailure when no t separates the rows or a check fails.
     """
     e, mults = fused.d, fused.multiplicities()
-    x = RatFunc.var("x")
     for t in range((e - 1) * math.comb(e + 1, 2) + 1):
         mt = Matrix(
             [[sum((t ** (i - 1) * fused.q(i, j, k) for i in range(1, e + 1)), Fraction(0))
               for k in range(e + 1)]
              for j in range(e + 1)]
         )
-        char = (mt - x).determinant()  # det(M_t - x I): its sign does not move the roots
-        assert char.is_polynomial()
-        roots = roots_low_degree(char.num)
+        roots = roots_low_degree(MultiPoly.univariate("x", _charpoly(mt)))
         if len(set(roots)) == len(roots):
             break
     else:

@@ -3,18 +3,16 @@
 A matrix holds Fractions, QuadraticNumbers sharing a single radicand
 (rationals mix in freely), or RatFunc entries: every entry lies in one field
 (Q, Q(sqrt D) or Q(x1, ..., xk)).  Mixing distinct radicands, or a radical
-with a symbolic entry, raises MixedScalars instead of coercing.  The field
-is computed once, when a matrix is built from outside rows, and kept as
-``field``; a product, difference, scalar shift or scaling whose operands'
-fields join is built from its rows without checking them again.  The
-inverse, the determinant and the nullspace come from one Gauss-Jordan
-elimination.  Over Q and Q(sqrt D) it runs fraction-free on integer
-numerators over one common denominator: each step divides exactly by the
-previous pivot (Bareiss 1968), and the reduced rows are rebuilt once.
-RatFunc entries are eliminated over their field.  Products over Q and
-Q(sqrt D) run on integer numerators too, and products of RatFunc entries
-skip zero factors.  A scalar operand s stands for
-s I: ``M - s``, ``s * M`` and ``M / s``.  Matrices are equal when their row
+with a symbolic entry, raises MixedScalars instead of coercing.  Every
+matrix, results included, comes from one constructor: rows of Fractions and
+RatFuncs are kept as given, other rows have their ints made Fractions and
+their entries checked, so a result whose irrational parts cancel holds
+Fractions.  The inverse, the determinant and the nullspace come from one
+fraction-free Gauss-Jordan elimination (Bareiss 1968), on integer numerators
+over Q and Q(sqrt D) and on the entries themselves over Q(x1, ..., xk).
+Products over Q and Q(sqrt D) run on integer numerators too, and products
+of RatFunc entries skip zero factors.  A scalar operand s stands for s I:
+``M - s``, ``s * M`` and ``M / s``.  Matrices are equal when their row
 tuples are, and print each entry as its exact ``str``.
 """
 
@@ -27,79 +25,45 @@ from .errors import InvariantViolation, MixedScalars, SingularMatrix
 from .poly import RatFunc
 from .scalars import QuadraticNumber, dot_parts, exact_sums, from_integer_parts, integer_parts
 
-SYMBOLIC = "symbolic"  # the field tag of Q(x1, ..., xk); Q is 0, Q(sqrt D) is D
-
-
-def _scalar_field(x):
-    """The field tag of one scalar; None for an unsupported type."""
-    if isinstance(x, QuadraticNumber):
-        return x.radicand
-    if isinstance(x, RatFunc):
-        return SYMBOLIC
-    return 0 if isinstance(x, (int, Fraction)) else None
-
 
 def _check_kinds(entries):
-    """The entries' field: 0 for Q, D for Q(sqrt D), SYMBOLIC for RatFunc."""
-    fields = []
+    """Raise MixedScalars unless the entries lie in one field: Q, one
+    Q(sqrt D), or Q(x1, ..., xk)."""
+    radicands, symbolic = [], False  # radicands in order of appearance
     for row in entries:
         for x in row:
-            f = _scalar_field(x)
-            if f is None:
+            if isinstance(x, QuadraticNumber):
+                if x.radicand not in radicands:
+                    radicands.append(x.radicand)
+            elif isinstance(x, RatFunc):
+                symbolic = True
+            elif not isinstance(x, (int, Fraction)):
                 raise MixedScalars(f"unsupported entry type {type(x).__name__}")
-            if f and f not in fields:
-                fields.append(f)
-    radicands = [f for f in fields if f != SYMBOLIC]
     if len(radicands) > 1:
         raise MixedScalars(f"matrix mixes sqrt({radicands[0]}) and sqrt({radicands[1]})")
-    if radicands and SYMBOLIC in fields:
+    if radicands and symbolic:
         raise MixedScalars("matrix mixes quadratic irrationals with symbolic entries")
-    return fields[0] if fields else 0
-
-
-def _join(f, g):
-    """The field holding both fields ``f`` and ``g``; None when there is none."""
-    if f == g or g == 0:
-        return f
-    return g if f == 0 else None
 
 
 class Matrix:
     """Immutable dense matrix; rows are tuples of exact scalars."""
 
-    __slots__ = ("rows", "nrows", "ncols", "field")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = [tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in rows]
+        rows = tuple(map(tuple, rows))
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix rows must be nonempty and rectangular")
-        self.field = _check_kinds(rows)
-        self.rows = tuple(rows)
-        self.nrows = len(rows)
-        self.ncols = len(rows[0])
-
-    @classmethod
-    def _build(cls, rows, field):
-        """The matrix of ``rows`` computed from operands whose fields join to
-        ``field``: no int conversion and no kind check, only a scan for an
-        entry outside Q, since those may all have cancelled.  When
-        the fields do not join (``field`` None), or there are no rows, the
-        rows go through ``Matrix(rows)`` and its errors."""
-        if field is None or not rows:
-            return cls(rows)
-        out = object.__new__(cls)
-        out.rows = rows = tuple(map(tuple, rows))
-        out.nrows, out.ncols = len(rows), len(rows[0])
-        if field:
-            kind = RatFunc if field == SYMBOLIC else QuadraticNumber
-            field = field if any(isinstance(x, kind) for r in rows for x in r) else 0
-        out.field = field
-        return out
+        if not {type(x) for r in rows for x in r} <= {Fraction, RatFunc}:  # Q lies in Q(x)
+            _check_kinds(rows)
+            rows = tuple(tuple(Fraction(x) if isinstance(x, int) else x for x in r)
+                         for r in rows)
+        self.rows, self.nrows, self.ncols = rows, len(rows), len(rows[0])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         zero, one = Fraction(0), Fraction(1)
-        return cls._build([[one if i == j else zero for j in range(n)] for i in range(n)], 0)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -127,18 +91,11 @@ class Matrix:
         if not isinstance(other, Matrix):  # a scalar s stands for s I
             if not other:
                 return self
-            return Matrix._build([[x - other if i == j else x for j, x in enumerate(r)]
-                                  for i, r in enumerate(self.rows)],
-                                 _join(self.field, _scalar_field(other)))
+            return Matrix([[x - other if i == j else x for j, x in enumerate(r)]
+                           for i, r in enumerate(self.rows)])
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix._build(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            _join(self.field, other.field),
-        )
+        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -147,15 +104,13 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        field = _join(self.field, other.field)
         cols = [other.col(j) for j in range(other.ncols)]
         left = integer_parts([x for r in self.rows for x in r])
         right = left and integer_parts([x for c in cols for x in c], left[3])
         if not right:  # RatFunc entries: the entrywise sums, zero factors skipped
-            return Matrix._build(
+            return Matrix(
                 [[sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in cols]
-                 for r in self.rows],
-                field,
+                 for r in self.rows]
             )
         # over Q or Q(sqrt D): integer numerators over one common denominator
         la, lb, lden, _ = left
@@ -163,16 +118,14 @@ class Matrix:
         n, den = self.ncols, lden * rden
         lrows = [(la[i:i + n], lb[i:i + n]) for i in range(0, len(la), n)]
         rcols = [(ra[j:j + n], rb[j:j + n]) for j in range(0, len(ra), n)]
-        return Matrix._build(
-            [[from_integer_parts(*dot_parts(*r, *c, rad), den, rad) for c in rcols] for r in lrows],
-            field,
+        return Matrix(
+            [[from_integer_parts(*dot_parts(*r, *c, rad), den, rad) for c in rcols] for r in lrows]
         )
 
     def scale(self, s) -> "Matrix":
         if s == 1:  # immutable, so the matrix itself
             return self
-        return Matrix._build([[x * s for x in r] for r in self.rows],
-                             _join(self.field, _scalar_field(s)))
+        return Matrix([[x * s for x in r] for r in self.rows])
 
     __rmul__ = scale
 
@@ -191,7 +144,7 @@ class Matrix:
         if len(pivots) < n:
             col = next(c for c in range(n) if c not in pivots)
             raise SingularMatrix(f"no pivot in column {col}")
-        return Matrix._build([r[n:] for r in rows], self.field)
+        return Matrix([r[n:] for r in rows])
 
     def determinant(self):
         """Exact determinant: the signed product of the elimination pivots."""
@@ -214,11 +167,14 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def _exact_quotients(values: list, m: int) -> list:
-    """``[v // m for v in values]`` when ``m`` divides every value; a
-    remainder means a broken elimination step and raises InvariantViolation."""
+def _exact_quotients(values: list, m) -> list:
+    """``[v // m for v in values]`` when the int ``m`` divides every value; a
+    remainder means a broken elimination step and raises InvariantViolation.
+    A field element ``m`` (a RatFunc pivot) divides with ``/``, always exactly."""
     if m == 1:
         return values
+    if not isinstance(m, int):
+        return [v / m for v in values]
     if math.gcd(*values) % m:
         raise InvariantViolation(f"elimination step leaves a remainder modulo {m}")
     return [v // m for v in values]
@@ -231,25 +187,25 @@ def _inverse_parts(a: int, b: int, rad: int) -> tuple[int, int, int]:
 
 
 def _reduce(rows, ncols: int):
-    """Gauss-Jordan elimination on the first ``ncols`` columns, pivoting on
-    the first nonzero entry of each column.
+    """Fraction-free Gauss-Jordan elimination on the first ``ncols``
+    columns, pivoting on the first nonzero entry of each column.
 
     Returns the reduced rows (each pivot 1, the rest of its column 0), the
     pivot columns, and the product of the pivots, negated once per row swap.
 
-    Over Q and Q(sqrt D) the rows are integer pairs ``(A + B sqrt D)/L``
-    over one common ``L``, and the elimination is fraction-free: at a pivot
-    ``p`` every other row becomes ``(p row - row[c] pivot_row) / prev``, with
-    ``prev`` the previous pivot (1 at first).  Every entry then stays a minor
-    of the integer matrix (Sylvester's identity), so each division is exact;
-    in Z[sqrt D] it multiplies by the conjugate of ``prev`` and divides by its
-    norm.  The last pivot divides every row once at the end.  RatFunc
-    entries are eliminated over their field (:func:`_field_reduce`).
+    At a pivot ``p`` every other row becomes ``(p row - row[c] pivot_row) /
+    prev``, with ``prev`` the previous pivot (1 at first).  Every entry then
+    stays a minor of the starting matrix (Sylvester's identity), so each
+    division is exact in any integral domain (Bareiss 1968), and the last
+    pivot divides every row once at the end.  Over Q and Q(sqrt D) the rows
+    are integer pairs ``(A + B sqrt D)/L`` over one common ``L``; in
+    Z[sqrt D] a division multiplies by the conjugate of ``prev`` and divides
+    by its norm.  RatFunc entries are the elements themselves, and ``/``
+    divides them.
     """
-    parts = integer_parts([x for r in rows for x in r])
-    if parts is None:
-        return _field_reduce(rows, ncols)
-    a, b, den, rad = parts
+    flat = [x for r in rows for x in r]
+    parts = integer_parts(flat)
+    a, b, den, rad = parts or (flat, [0] * len(flat), 1, 0)
     w = len(rows[0])
     A = [a[i:i + w] for i in range(0, len(a), w)]
     B = [b[i:i + w] for i in range(0, len(b), w)]
@@ -263,17 +219,18 @@ def _reduce(rows, ncols: int):
         if p != r:
             A[r], A[p], B[r], B[p] = A[p], A[r], B[p], B[r]
             sign = -sign
-        ca, cb, norm = _inverse_parts(qa, qb, rad)
         pa, pb, ya, yb = A[r][c], B[r][c], A[r], B[r]
-        sa, sb = pa * ca + rad * pb * cb, pa * cb + pb * ca  # the pivot times norm / prev
+        if rad:
+            ca, cb, norm = _inverse_parts(qa, qb, rad)
+            sa, sb = pa * ca + rad * pb * cb, pa * cb + pb * ca  # the pivot times norm / prev
         for i in range(len(A)):
             if i == r:
                 continue
             lo = c if i > r else 0  # rows below are zero left of column c
             xa, xb = A[i][lo:], B[i][lo:]
             fa, fb = xa[c - lo], xb[c - lo]
-            ta, tb = fa * ca + rad * fb * cb, fa * cb + fb * ca  # row[c] times norm / prev
             if rad:
+                ta, tb = fa * ca + rad * fb * cb, fa * cb + fb * ca  # row[c] times norm / prev
                 dsb, dtb = rad * sb, rad * tb
                 A[i][lo:] = _exact_quotients(
                     [sa * u + dsb * v - ta * y - dtb * z
@@ -282,12 +239,14 @@ def _reduce(rows, ncols: int):
                     [sa * v + sb * u - ta * z - tb * y
                      for u, v, y, z in zip(xa, xb, ya[lo:], yb[lo:])], norm)
             else:
-                A[i][lo:] = _exact_quotients([sa * u - ta * y for u, y in zip(xa, ya[lo:])], norm)
+                A[i][lo:] = _exact_quotients([pa * u - fa * y for u, y in zip(xa, ya[lo:])], qa)
         pivots.append(c)
         qa, qb = pa, pb
         if len(pivots) == len(A):
             break
-    ca, cb, norm = _inverse_parts(qa, qb, rad)  # every row over the last pivot
+    if parts is None:  # every row over the last pivot
+        return [[u / qa for u in xa] for xa in A], pivots, sign * qa
+    ca, cb, norm = _inverse_parts(qa, qb, rad)
     out = [
         [from_integer_parts(u * ca + rad * v * cb, u * cb + v * ca, norm, rad)
          for u, v in zip(xa, xb)]
@@ -295,35 +254,6 @@ def _reduce(rows, ncols: int):
     ]
     det = from_integer_parts(sign * qa, sign * qb, den ** len(pivots), rad)
     return out, pivots, det
-
-
-def _field_reduce(rows, ncols: int):
-    """:func:`_reduce` over the entries' field, for RatFunc entries: each
-    pivot row is divided by its pivot and cleared from the other rows."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    det = Fraction(1)
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            det = -det
-        pv = rows[r][c]
-        det *= pv
-        # rows from r down are zero left of column c, so only c.. changes
-        piv = [x / pv for x in rows[r][c:]]
-        rows[r][c:] = piv
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                row[c:] = [a - f * b for a, b in zip(row[c:], piv)]
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows, pivots, det
 
 
 def nullspace(m: Matrix) -> list[tuple]:

@@ -16,7 +16,8 @@ reduced without a gcd of its full numerator and denominator.  The public
 ``num``/``den`` pair has the denominator scaled to leading coefficient 1,
 so equality is a structural comparison as well.  For both types truth is
 the zero test, ``str`` the exact string, and a value equal to a Fraction
-(or a RatFunc equal to a MultiPoly) hashes as that value does.
+(or a RatFunc equal to a MultiPoly) hashes as that value does.  Arithmetic
+with a QuadraticNumber raises MixedScalars; the two are never equal.
 
 The gcd is a primitive pseudo-remainder sequence with fast paths for
 constants, monomials and univariate inputs; the fast paths carry all the
@@ -34,8 +35,16 @@ from functools import reduce
 from math import gcd, lcm
 from operator import add, sub
 
-from .errors import ComplexRoots, UnsupportedAlgebraicDegree
-from .scalars import exact_sqrt
+from .errors import ComplexRoots, MixedScalars, UnsupportedAlgebraicDegree
+from .scalars import QuadraticNumber, exact_sqrt
+
+
+def _foreign(other):
+    """NotImplemented for an operand of another type; MixedScalars for a
+    quadratic irrational, since Q(sqrt D)(x1, ..., xk) is not supported."""
+    if isinstance(other, QuadraticNumber):
+        raise MixedScalars(f"cannot combine sqrt({other.radicand}) with a symbolic scalar")
+    return NotImplemented
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -185,7 +194,7 @@ class MultiPoly:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return _foreign(other)
         vs, t1, t2 = self._align(o)
         den = lcm(self.den, o.den)
         return MultiPoly(vs, _add_terms(t1, t2, den // self.den, den // o.den), den)
@@ -205,7 +214,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            return _foreign(other)
         if other.is_const():
             return self._scaled(other.terms.get((), 0), other.den)
         if self.is_const():
@@ -244,7 +253,7 @@ class MultiPoly:
             return self._scaled(v.numerator, v.denominator)
         if isinstance(other, MultiPoly):
             return RatFunc(self, other)
-        return NotImplemented
+        return _foreign(other)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -672,7 +681,7 @@ class RatFunc:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return _foreign(other)
         if not o._c:
             return self
         if not self._c:
@@ -711,7 +720,7 @@ class RatFunc:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return _foreign(other)
         if not self._c or not o._c:
             return RatFunc.zero()
         # Henrici: cancel each numerator against the other denominator
@@ -732,13 +741,13 @@ class RatFunc:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return _foreign(other)
         return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return _foreign(other)
         return o * self._inverse()
 
     def __pow__(self, n: int):

@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from asx import casev
 from asx.casev import (
     CASE_V_ORDERING,
     CASE_V_PARTITION,
@@ -28,7 +31,8 @@ from asx.errors import (
     InvalidParameter,
     VerificationFailure,
 )
-from asx.poly import RatFunc
+from asx.linalg import Matrix
+from asx.poly import MultiPoly, RatFunc
 from asx.scheme import KreinTridiagonal, krein_ladder
 
 
@@ -408,3 +412,46 @@ def test_annihilator_of_the_m5_candidate_factors_as_expected():
     assert sorted(map(str, roots_low_degree(char.num))) == sorted(
         str(EXPECTED_Q_M5[j, 1]) for j in range(6)
     )
+
+
+@cache
+def _charpoly_inputs() -> tuple:
+    """Seeded rational matrices up to 6 x 6, B1*(5), and every M_t that
+    fusion_pipeline(m) forms for m = 2..9."""
+    rng = random.Random(19)
+    mats = [
+        Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)])
+        for n in range(1, 7)
+        for _ in range(3)
+    ]
+    mats.append(casev_spec(5).spec.first_matrix())
+    charpoly = casev._charpoly
+
+    def record(mt):
+        mats.append(mt)
+        return charpoly(mt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(casev, "_charpoly", record)
+        for m in range(2, 10):
+            fusion_pipeline(m)
+    assert len(mats) >= 19 + 8  # at least one M_t for each m
+    return tuple(mats)
+
+
+def test_charpoly_is_the_symbolic_determinant():
+    # Faddeev-LeVerrier against det(x I - M) eliminated over Q(x)
+    x = RatFunc.var("x")
+    for m in _charpoly_inputs():
+        det = (Matrix.identity(m.nrows).scale(x) - m).determinant()
+        assert det == MultiPoly.univariate("x", casev._charpoly(m))
+
+
+def test_charpoly_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    for m in _charpoly_inputs():
+        ref = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r]
+                            for r in m.rows]).charpoly(X).all_coeffs()
+        assert casev._charpoly(m) == [Fraction(int(c.p), int(c.q)) for c in reversed(ref)]

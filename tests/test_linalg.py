@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from asx.errors import InvariantViolation, MixedScalars, SingularMatrix
-from asx.linalg import Matrix, _check_kinds, _exact_quotients, nullspace
-from asx.poly import RatFunc
+from asx.linalg import Matrix, _exact_quotients, nullspace
+from asx.poly import MultiPoly, RatFunc
 from asx.scalars import QuadraticNumber
 from asx.scheme import KreinTensor
 
@@ -81,6 +81,7 @@ def test_mixed_scalars_rejected():
 
 R2, R3, R5 = QuadraticNumber(0, 1, 2), QuadraticNumber(1, 1, 3), QuadraticNumber(0, 1, 5)
 M = RatFunc.var("m")
+SYMBOLIC_SQRT5 = "cannot combine sqrt(5) with a symbolic scalar"
 
 
 @pytest.mark.parametrize(
@@ -96,6 +97,14 @@ M = RatFunc.var("m")
         (lambda: Matrix([[R2, 1]]) / R3, "cannot combine sqrt(2) with sqrt(3)"),
         (lambda: Matrix([[1, 2]]).scale(0.5), "unsupported entry type float"),
         (lambda: Matrix([[1, 2], [3, 4]]) - 0.5, "unsupported entry type float"),
+        # a sqrt(D) entry meeting a symbolic one at the same position
+        (lambda: Matrix([[R5, 0]]) - Matrix([[M, 1]]), SYMBOLIC_SQRT5),
+        (lambda: Matrix([[R5, 1], [1, 1]]) - M, SYMBOLIC_SQRT5),
+        (lambda: Matrix([[R5, 1]]).scale(M), SYMBOLIC_SQRT5),
+        (lambda: Matrix([[R5, 1]]) * Matrix([[1], [M]]), SYMBOLIC_SQRT5),
+        (lambda: R5 + M, SYMBOLIC_SQRT5),
+        (lambda: M * R5, SYMBOLIC_SQRT5),
+        (lambda: R5 - MultiPoly.var("m"), SYMBOLIC_SQRT5),
     ],
 )
 def test_results_whose_fields_do_not_join_raise(build, message):
@@ -106,6 +115,12 @@ def test_results_whose_fields_do_not_join_raise(build, message):
     assert str(exc.value) == message
 
 
+def test_quadratic_and_symbolic_scalars_are_never_equal():
+    # no MixedScalars here: tuple equality of matrix rows reaches these
+    assert R5 != M and M != R5 and R5 != MultiPoly.var("m")
+    assert Matrix([[R5, 1]]) != Matrix([[M, 1]])
+
+
 def test_exact_quotients():
     assert _exact_quotients([6, -9, 0], 3) == [2, -3, 0]
     assert _exact_quotients([6, -9, 0], -3) == [-2, 3, 0]
@@ -113,6 +128,33 @@ def test_exact_quotients():
         _exact_quotients([6, 7], 3)
     with pytest.raises(InvariantViolation):
         _exact_quotients([6, 7], -3)
+    # a RatFunc pivot divides with /, exactly, since Q(m) is a field
+    m = RatFunc.var("m")
+    assert _exact_quotients([m * m - 1, Fraction(3), m], m + 1) == [
+        m - 1, 3 / (m + 1), m / (m + 1)]
+    assert _exact_quotients([m, Fraction(2)], RatFunc.one()) == [m, Fraction(2)]
+
+
+def test_ratfunc_elimination_swaps_rows():
+    # a zero in the first column's top entry: the pivot comes from row 1
+    m = RatFunc.var("m")
+    a = Matrix([[0, m, 1], [m, 1, 0], [1, 0, m]])
+    det = a.determinant()
+    assert det == -(m ** 3) - 1  # expanded along the first column
+    assert a * a.inverse() == Matrix.identity(3)
+    assert a.inverse() * a == Matrix.identity(3)
+
+
+def test_singular_ratfunc_matrix():
+    m = RatFunc.var("m")
+    # column 1 is (m + 1)/m times column 0, so it has no pivot; column 2 has one
+    a = Matrix([[m, m + 1, 1], [1, (m + 1) / m, 2], [m * m, m * (m + 1), 3]])
+    with pytest.raises(SingularMatrix) as exc:
+        a.inverse()
+    assert str(exc.value) == "no pivot in column 1"
+    assert a.determinant() == 0
+    (v,) = nullspace(a)
+    assert all(sum((x * y for x, y in zip(r, v)), Fraction(0)) == 0 for r in a.rows)
 
 
 def test_ratfunc_matrix_inverse():
@@ -239,50 +281,66 @@ def test_scalar_operands_stand_for_multiples_of_the_identity(field, s):
     assert 3 * Matrix.identity(2) == Matrix([[3, 0], [0, 3]])
 
 
-@pytest.mark.parametrize(
-    "field, s",
-    [
-        ("Q", Fraction(-7, 3)),
-        ("Q(sqrt 5)", QuadraticNumber(Fraction(1, 2), 3, 5)),
-        ("Q(m)", (RatFunc.var("m") + 2) / (RatFunc.var("m") - 1)),
-    ],
-)
-def test_field_is_the_field_of_the_rows(field, s):
-    # every result's field is what _check_kinds finds afresh on its rows,
-    # also when the irrational or symbolic parts cancel (a - a, a * a^-1,
-    # scaling by 0) and when a rational operand meets one of the field
-    def same(x):
-        assert x.field == _check_kinds(x.rows)
+def _cancelled(a):
+    """Results of ``a`` whose irrational or symbolic parts cancel, each with
+    the matrix it equals: ``a - a`` and ``a.scale(0)`` are zero, ``a a^-1``
+    is the identity."""
+    zero = Matrix([[0] * a.ncols] * a.nrows)
+    out = [(a - a, zero), (a.scale(0), zero)]
+    if a.nrows == a.ncols and a.determinant():
+        out.append((a * a.inverse(), Matrix.identity(a.nrows)))
+    return out
 
-    mats = _random_matrices(field)
+
+def _combine(x, b):
+    """Every difference and product of ``x`` and ``b`` that their shapes allow."""
+    out = []
+    if (x.nrows, x.ncols) == (b.nrows, b.ncols):
+        out += [x - b, b - x]
+    if x.ncols == b.nrows:
+        out.append(x * b)
+    if b.ncols == x.nrows:
+        out.append(b * x)
+    return out
+
+
+@pytest.mark.parametrize("other", ["Q(sqrt 2)", "Q(m)"])
+def test_cancelled_irrational_parts_leave_fractions(other):
+    # a result over Q(sqrt 5) whose sqrt parts cancel holds only Fractions,
+    # so it combines with a matrix over another field without MixedScalars
+    others = _random_matrices(other)
+    for a in _random_matrices("Q(sqrt 5)"):
+        for x, value in _cancelled(a):
+            assert x == value
+            assert all(type(v) is Fraction for r in x.rows for v in r)
+            for b in others:
+                assert _combine(x, b) == _combine(value, b)
+
+
+def test_cancelled_symbolic_parts_leave_constants():
+    # a result over Q(m) whose symbolic parts cancel holds constants, equal to
+    # and hashing as Fractions, and combines with a rational matrix; RatFunc
+    # arithmetic keeps its type, so a sqrt(D) matrix still raises MixedScalars
     rational = _random_matrices("Q")
-    for n in range(1, 5):
-        same(Matrix.identity(n))
-    for a, b in zip(mats, mats[1:] + mats[:1]):
-        same(a)
-        same(a.scale(s))
-        same(s * a)
-        same(a / s)
-        same(a.scale(0))
-        same(a - a)
-        if (a.nrows, a.ncols) == (b.nrows, b.ncols):
-            same(a - b)
-        if a.ncols == b.nrows:
-            same(a * b)
-        for q in rational:
-            if (q.nrows, q.ncols) == (a.nrows, a.ncols):
-                same(a - q)
-                same(q - a)
-            if q.nrows == a.ncols:
-                same(a * q)
-            if a.nrows == q.ncols:
-                same(q * a)
-        if a.nrows == a.ncols:
-            same(a - s)
-            same(a - 1)
-            if a.determinant():
-                same(a.inverse())
-                same(a * a.inverse())
+    for a in _random_matrices("Q(m)"):
+        for x, value in _cancelled(a):
+            assert x == value and hash(x) == hash(value)
+            for b in rational:
+                assert _combine(x, b) == _combine(value, b)
+            with pytest.raises(MixedScalars, match="with a symbolic scalar"):
+                x - Matrix([[R5] * x.ncols] * x.nrows)
+
+
+def test_results_over_q_hold_only_fractions():
+    # ints are turned into Fractions, also in scalar operands and identities
+    results = [3 * Matrix.identity(2), Matrix([[1, 2], [3, 4]]) - 1, Matrix([[1, 2], [3, 4]])]
+    for a in _random_matrices("Q"):
+        results += [Matrix.identity(a.nrows), a - 1 if a.nrows == a.ncols else a, 3 * a,
+                    a.scale(0), a - a, a * Matrix.identity(a.ncols)]
+        if a.nrows == a.ncols and a.determinant():
+            results += [a.inverse(), a * a.inverse()]
+    for x in results:
+        assert all(type(v) is Fraction for r in x.rows for v in r)
 
 
 @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 21)", "Q(m)"])
