@@ -19,19 +19,17 @@ the zero test, ``str`` the exact string, and a value equal to a Fraction
 (or a RatFunc equal to a MultiPoly) hashes as that value does.  Arithmetic
 with a QuadraticNumber raises MixedScalars; the two are never equal.
 
-The gcd is a primitive pseudo-remainder sequence with fast paths for
-constants, monomials and univariate inputs; the fast paths carry all the
-load in the scheme computations, where denominators are monomials in the
-tridiagonal unknowns or univariate in the multiplicity parameter.  Other
-multivariate inputs try the heuristic gcd (GCDHEU) before the sequence:
-the sequence alone can take minutes on trivariate sums with dense
-denominators, where the heuristic needs milliseconds.
+The gcd is a primitive pseudo-remainder sequence (PRS) for one variable
+and the heuristic gcd (GCDHEU), run until it succeeds, for several.  Fast
+paths for constants, monomials, monomial content and exact division come
+first; they carry all the load in the scheme computations, where
+denominators are monomials in the tridiagonal unknowns or univariate in
+the multiplicity parameter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import add, sub
 
@@ -255,6 +253,11 @@ class MultiPoly:
             return RatFunc(self, other)
         return _foreign(other)
 
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RatFunc(other, self)
+        return _foreign(other)
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -440,14 +443,13 @@ def _upoly(name: str, coeffs: list[int]) -> MultiPoly:
     return MultiPoly((name,), {(k,): c for k, c in enumerate(coeffs)})
 
 
-def _prs(a: list, b: list, primitive) -> list:
-    """Primitive pseudo-remainder sequence of two primitive dense coefficient
-    lists, lowest power first, with int or MultiPoly entries; returns its
-    last nonzero member.
+def _prs(a: list[int], b: list[int]) -> list[int]:
+    """Primitive pseudo-remainder sequence of two primitive dense integer
+    coefficient lists, lowest power first; returns its last nonzero member.
 
     Each remainder is taken after multiplying through by lc(b), so it stays
-    in the coefficient ring, and ``primitive`` divides out its content,
-    avoiding the blowup of naive rational Euclid.
+    in Z, and its content is divided out, avoiding the blowup of naive
+    rational Euclid.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -460,52 +462,40 @@ def _prs(a: list, b: list, primitive) -> list:
                 x[i + shift] -= lead * cy
             while x and not x[-1]:
                 x.pop()
-        a, b = b, primitive(x) if x else x
+        a, b = b, _primitive_list(x) if x else x
     return a
 
 
-def _coeffs_in(p: MultiPoly, name: str) -> list[MultiPoly]:
-    """p as a dense list of MultiPoly coefficients of the powers of `name`."""
-    i = p.vars.index(name)
-    out: list[dict] = [{} for _ in range(p.degree_in(name) + 1)]
-    for e, c in p.terms.items():
-        out[e[i]][e[:i] + e[i + 1:]] = c
-    return [MultiPoly(p.vars[:i] + p.vars[i + 1:], t, p.den) for t in out]
+def _gcdheu(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Content-inclusive gcd of two nonzero integer polynomials (``den`` 1)
+    by evaluation at a big point (GCDHEU: Char, Geddes & Gonnet,
+    J. Symbolic Comput. 7, 1989).
 
+    The main variable is set to an integer xi, the gcd of the two images is
+    taken recursively, and a candidate is rebuilt from its balanced base-xi
+    digits.  Its primitive part is returned (times the gcd of the contents)
+    once it divides both inputs; until then xi grows by 73794/27011.  Each
+    level drops one variable, so the recursion is as deep as the number of
+    variables.
 
-def _content_free(coeffs: list[MultiPoly]) -> tuple[MultiPoly, list[MultiPoly]]:
-    """``(content, coefficients divided by it)``; the content is their gcd."""
-    content = reduce(poly_gcd, coeffs)
-    return content, [poly_exact_div(c, content) for c in coeffs]
-
-
-class _HeuristicFailed(Exception):
-    pass
-
-
-def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
-    """Integer-polynomial gcd by evaluation at a big point (GCDHEU).
-
-    Content-inclusive over Z[vars] for integer inputs (``den`` 1);
-    candidates are reconstructed from balanced base-xi digits and verified
-    by trial division, so a returned value is always correct.  Raises
-    _HeuristicFailed when the retries run out; callers fall back to the
-    pseudo-remainder sequence.
+    Termination: write f = H A and g = H B with H the gcd and A, B coprime.
+    Then gcd(A_xi, B_xi) divides the nonzero resultant Res(A, B) in the main
+    variable, and is a nonconstant polynomial for only finitely many xi.
+    Past those, the gcd of the images is k H_xi for an integer k dividing
+    that resultant, and once xi > 2 |k H|_inf the balanced digits give back
+    k H, whose primitive part is the primitive part of H.  As xi grows
+    geometrically, the attempts are at most logarithmic in the size of the
+    resultant.
     """
-    if not f or not g:
-        return f or g
     content = gcd(*f.terms.values(), *g.terms.values())
     if f.is_const() or g.is_const():
         return MultiPoly.const(content)
-    if depth > 8:
-        raise _HeuristicFailed
-    vs = sorted(set(f.vars) | set(g.vars))
-    main = vs[0]
+    main = min(f.vars[0], g.vars[0])
     norm = max(*map(abs, f.terms.values()), *map(abs, g.terms.values()))
     xi = 2 * norm + 29
     dbound = min(f.degree_in(main), g.degree_in(main)) + 1
-    for _ in range(6):
-        h_e = _gcdheu(f.subs({main: xi}), g.subs({main: xi}), depth + 1)
+    while True:
+        h_e = _gcdheu(f.subs({main: xi}), g.subs({main: xi}))
         # reconstruct the main-variable dependence from balanced digits
         h = MultiPoly.zero()
         cur = h_e
@@ -523,7 +513,6 @@ def _gcdheu(f: MultiPoly, g: MultiPoly, depth: int = 0):
             if poly_divides(h, f) and poly_divides(h, g):
                 return h * content
         xi = xi * 73794 // 27011
-    raise _HeuristicFailed
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -553,32 +542,14 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _monic(core)
     if len(vs) == 1:
         a, b = (_primitive_list(_int_coeffs(_poly(vs, t))) for t in (tf, tg))
-        return _monic(_upoly(vs[0], _prs(a, b, _primitive_list)))
-    # multivariate: primitive PRS in one variable, on the integer terms
+        return _monic(_upoly(vs[0], _prs(a, b)))
     fa, ga = MultiPoly(vs, tf), MultiPoly(vs, tg)
     # divisibility fast paths keep the common cases cheap
     if poly_divides(ga, fa):
         return _monic(ga)
     if poly_divides(fa, ga):
         return _monic(fa)
-    # heuristic gcd first (verified by trial division, so always sound)
-    try:
-        return _monic(_gcdheu(_split(fa)[1], _split(ga)[1]))
-    except _HeuristicFailed:
-        pass
-    # choose the main variable with the smallest degree bound
-    main = min(
-        (v for v in vs if fa.degree_in(v) or ga.degree_in(v)),
-        key=lambda v: max(fa.degree_in(v), ga.degree_in(v)),
-    )
-    if fa.degree_in(main) == 0 or ga.degree_in(main) == 0:
-        # main variable missing from one input; gcd divides its coefficients
-        inner, outer = (fa, ga) if fa.degree_in(main) == 0 else (ga, fa)
-        return poly_gcd(inner, reduce(poly_gcd, _coeffs_in(outer, main)))
-    (cf, F), (cg, G) = _content_free(_coeffs_in(fa, main)), _content_free(_coeffs_in(ga, main))
-    B = _prs(F, G, lambda r: _content_free(r)[1])
-    x = MultiPoly.var(main)
-    return _monic(sum((c * x ** k for k, c in enumerate(B)), MultiPoly.zero()) * poly_gcd(cf, cg))
+    return _monic(_gcdheu(_split(fa)[1], _split(ga)[1]))
 
 
 # -- rational functions -------------------------------------------------------

@@ -76,6 +76,8 @@ class KreinTridiagonal:
         c, a, b = (
             tuple(Fraction(x) if isinstance(x, int) else x for x in xs) for xs in (c, a, b)
         )
+        if d < 1:
+            raise InvariantViolation(f"need d >= 1 classes, got d={d}")
         if len(c) != d or len(a) != d or len(b) != d:
             raise InvariantViolation(
                 f"need d={d} values in each of c (c1..cd), a (a1..ad), b (b0..b(d-1))"
@@ -169,7 +171,7 @@ class Ordering(NamedTuple("Ordering", [("sigma", tuple)])):
     __slots__ = ()
 
     def __new__(cls, sigma: tuple[int, ...]):
-        if sorted(sigma) != list(range(len(sigma))) or sigma[0] != 0:
+        if not sigma or sorted(sigma) != list(range(len(sigma))) or sigma[0] != 0:
             raise InvariantViolation(f"not an ordering: {sigma}")
         return super().__new__(cls, sigma)
 
@@ -726,7 +728,7 @@ def fuse(tensor: KreinTensor, partition: FusionPartition) -> KreinTensor:
 def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:
     """Read the ``c*/a*/b*`` arrays off ``B1*``; the matrix must be tridiagonal."""
     d = tensor.d
-    b1 = tensor.mats[1]
+    b1 = tensor.mats[min(d, 1)]  # d = 0 has no B1*; KreinTridiagonal rejects it
     for j in range(d + 1):
         for k in range(d + 1):
             if abs(j - k) > 1 and b1[j, k]:

@@ -105,6 +105,8 @@ SYMBOLIC_SQRT5 = "cannot combine sqrt(5) with a symbolic scalar"
         (lambda: R5 + M, SYMBOLIC_SQRT5),
         (lambda: M * R5, SYMBOLIC_SQRT5),
         (lambda: R5 - MultiPoly.var("m"), SYMBOLIC_SQRT5),
+        (lambda: R5 / MultiPoly.var("m"), SYMBOLIC_SQRT5),
+        (lambda: R5 / M, SYMBOLIC_SQRT5),
     ],
 )
 def test_results_whose_fields_do_not_join_raise(build, message):

@@ -117,6 +117,11 @@ class TestSchemeFromRelations:
         with pytest.raises(NotPPolynomial):
             scheme_from_relations(shuffled)
 
+    def test_one_point_scheme_has_no_b1(self):
+        # d = 0: there is no B1 to be tridiagonal
+        with pytest.raises(NotPPolynomial, match="need d >= 1 classes, got d=0"):
+            scheme_from_relations(RelationSet(1, (((1,),),)))
+
 
 class TestCrossValidation:
     @pytest.mark.parametrize("name, param", NAMED)

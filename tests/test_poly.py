@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asx import poly
 from asx.errors import ComplexRoots, UnsupportedAlgebraicDegree
 from asx.poly import (
     MultiPoly,
@@ -126,18 +125,11 @@ def test_gcd_examples():
     assert poly_gcd((m + c2) * (m - c3), (m + c2) * (m + c3)) == m + c2
 
 
-@pytest.mark.parametrize("path", ["gcdheu", "prs"])
-def test_gcd_agrees_with_sympy(path, monkeypatch):
+def test_gcd_agrees_with_sympy():
     # Products in 2-3 variables that share a random factor and do not divide
-    # one another reach GCDHEU; with it forced to fail, they reach the
-    # pseudo-remainder sequence, and the fixed pairs below its
-    # missing-variable branch and the divisibility fast path.
+    # one another reach GCDHEU, and so do the fixed pairs below, except the
+    # one for the divisibility fast path.
     sympy = pytest.importorskip("sympy")
-    if path == "prs":
-        def give_up(f, g, depth=0):
-            raise poly._HeuristicFailed
-
-        monkeypatch.setattr(poly, "_gcdheu", give_up)
     rng = random.Random(6)
 
     def random_poly(names):
@@ -163,12 +155,22 @@ def test_gcd_agrees_with_sympy(path, monkeypatch):
     for names in [("m", "u"), ("m", "u", "v")] * 8:
         g = random_poly(names)
         cases.append((g * random_poly(names), g * random_poly(names)))
-    # v is the main variable (lowest degree) and is missing from the second input
+    # v is missing from the second input
     u, v = MultiPoly.var("u"), MultiPoly.var("v")
     cases.append(((m + u) * (v + 2) * (u - 1), (m + u) * (m * m + u)))
     cases.append((m + u, (m + u) * (u - v + 1)))  # the first divides the second
+    # GCDHEU's level in (b, c) needs a second evaluation point
+    a, b, c = (MultiPoly.var(name) for name in "abc")
+    cases.append((-2 * a**2 * b**2 * c**2 - 2 * a**2 * b * c**2 - 4 * b**2 - 4 * b,
+                  -(a**2) * b**2 * c**2 - a**2 * c**2 - 2 * b**2 - 2))
+    # a product in all ten unknowns of the symbolic chain: ten levels deep
+    a2, a3, a4, b2, b3, b4, c2, c3, c4 = (
+        MultiPoly.var(f"{name}{i}") for name in "abc" for i in (2, 3, 4))
+    common = m * b2 - c2 * c3 + a2 + a3 + a4 + b3 + b4 + c4 + 1
+    cases.append((common * (m * c4 - a2 * b3 + 2), common * (b2 * c3 + a4 - m - 1)))
     for f, h in cases:
-        want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(h)), ("m", "u", "v"))
+        names = tuple(sorted(set(f.vars) | set(h.vars)))
+        want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(h)), names)
         want = want * (Fraction(1) / want.leading_coeff())
         assert poly_gcd(f, h) == want, (f, h)
 
@@ -184,6 +186,8 @@ class TestRatFunc:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(m, MultiPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            1 / MultiPoly.zero()
         with pytest.raises(ZeroDivisionError):
             RatFunc.one() / RatFunc.zero()
 
@@ -231,6 +235,11 @@ class TestRatFunc:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_number_over_a_polynomial(self):
+        assert 1 / m == 1 / RatFunc.var("m") == RatFunc(1, m)
+        assert Fraction(1, 2) / (m + 1) == RatFunc(1, 2 * m + 2)
+        assert str(3 / (2 * m)) == "(3/2)/(m)"
 
     def test_equal_values_hash_alike(self):
         # a constant hashes as the Fraction it equals, a polynomial RatFunc

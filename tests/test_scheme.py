@@ -467,6 +467,11 @@ class TestClassification:
             Ordering((1, 0))
         with pytest.raises(InvariantViolation):
             Ordering((0, 2, 2))
+        with pytest.raises(InvariantViolation):
+            Ordering(())
+        for d in (0, -1):
+            with pytest.raises(InvariantViolation):
+                KreinTridiagonal(d, (), (), ())
 
 
 class TestFusion:
