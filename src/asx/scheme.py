@@ -7,11 +7,12 @@ Everything here works on exact scalars.  The central objects:
 * :class:`KreinTensor` -- the full array ``q^k_ij`` together with the view
   matrices ``B0*..Bd*`` (``Bi*`` has ``(j,k)`` entry ``q^k_ij``); produced
   from a tridiagonal spec as ``Bi* = v_i*(B1*)``, the value polynomials of
-  the three-term recurrence (:func:`value_sequence`) evaluated at ``B1*``.
-  The ladder runs the recurrence in monic form on the array with its
-  denominators cleared, so symbolic levels stay polynomial, and divides
-  each level once; :func:`krein_column` runs the same recurrence on one
-  column.
+  the three-term recurrence evaluated at ``B1*``.  The ladder runs the
+  recurrence in monic form on rows with the array's denominators cleared
+  once (ints over Q, polynomials over Q(x)), three rows of one level per
+  row of the next, O(d^3), and divides each level once;
+  :func:`krein_column` runs it on one column, :func:`value_sequence` at a
+  number or a polynomial variable.
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
   multiplicities and the order ``n``, with ``P Q = n I`` exactly.
 * :class:`IntersectionTensor` -- the array ``p^k_ij``, computed from the
@@ -284,45 +285,74 @@ class FeasibilityReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _cleared_levels(spec: KreinTridiagonal, start=None):
-    """Yield ``(P_i, delta^i c1*..ci*)`` for ``1 <= i <= d``, where
-    ``P_i / (delta^i c1*..ci*) = Bi*`` (``Bi* start`` with a start vector).
+def _cleared_levels(spec: KreinTridiagonal, start: list):
+    """Yield ``(P_i, delta^i c1*..ci*)`` for ``1 <= i <= d``: ``P_i`` is a
+    list of rows, ``P_i / (delta^i c1*..ci*) = Bi* S`` for the rows ``S``
+    of ``start``.
 
-    ``delta`` is the lcm of the polynomial denominators of the entries (1
-    for a numeric array), and ``P_i = delta^i c1*..ci* v_i*`` follows the
-    monic recurrence of the array of ``delta B1*``: ``c' = 1``,
-    ``a'_i = delta a_i*`` and ``b'(i-1) = delta^2 b(i-1)* ci*``, at
-    ``delta B1*``.  Over rational functions every ``P_i`` has polynomial
-    entries, so its sums and products take no gcd; the caller divides.
+    ``P_i`` follows the monic recurrence of ``delta B1*``: ``P(i+1) =
+    (delta B1* - delta a_i*) P_i - delta^2 b(i-1)* ci* P(i-1)``.  ``delta``
+    is the lcm of all denominators over Q, so every ``P_i`` holds ints; of
+    the polynomial denominators over Q(x1, ..., xk), so every ``P_i`` is
+    polynomial and takes no gcd; 1 over Q(sqrt D).  ``B1*`` is tridiagonal,
+    so row j of ``delta B1* P_i`` combines rows j-1, j and j+1 of ``P_i``:
+    four products per entry, not d + 1.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
-    delta = Fraction(1)
-    for x in c + a + b:
-        if isinstance(x, RatFunc):
-            # Henrici cancellation leaves exactly the part of x's
-            # denominator that delta does not cover yet
-            delta *= RatFunc((delta * x).den)
-    if delta != 1:  # the array of delta B1*
-        c, a, b = ([delta * x for x in xs] for xs in (c, a, b))
-    monic = KreinTridiagonal(d, (Fraction(1),) * d, a, [x * y for x, y in zip(b, c)])
-    levels = value_sequence(monic, spec.first_matrix().scale(delta), start)
-    div = Fraction(1)
-    for ci, p in zip(c, itertools.islice(levels, 1, d + 1)):
-        div *= ci
-        yield p, div
+    parts = integer_parts(c + a + b)
+    if parts and not parts[3]:  # over Q: int numerators over one delta
+        ints = parts[0]
+        c, a, b = ints[:d], ints[d:2 * d], ints[2 * d:]
+    else:
+        delta = Fraction(1)
+        for x in c + a + b:
+            if isinstance(x, RatFunc):
+                # Henrici cancellation leaves exactly the part of x's
+                # denominator that delta does not cover yet
+                delta *= RatFunc((delta * x).den)
+        if delta != 1:
+            c, a, b = ([delta * x for x in xs] for xs in (c, a, b))
+    # row j of delta B1* is lo[j], mid[j], hi[j] at columns j-1, j, j+1;
+    # step i shifts by mid[i] (0 before P_1)
+    lo, mid, hi = (0, *b), (0, *a), (*c, 0)
+    coupling = (0, *(x * y for x, y in zip(b, c)))
+    zero = [0] * len(start[0])
+    prev, cur, div = [zero] * (d + 1), start, 1
+    for i in range(d):
+        g, nxt = coupling[i], []
+        for j in range(d + 1):
+            l, s, h = lo[j], mid[j] - mid[i], hi[j]
+            up = cur[j - 1] if j else zero
+            down = cur[j + 1] if j < d else zero
+            nxt.append([l * u + s * x + h * w - g * y
+                        for u, x, w, y in zip(up, cur[j], down, prev[j])])
+        prev, cur = cur, nxt
+        div *= c[i]
+        yield cur, div
+
+
+def _divided(p: list, div) -> Matrix:
+    """The matrix ``p / div``: one Fraction per entry for int rows."""
+    if isinstance(div, int):
+        return Matrix([[Fraction(x, div) for x in r] for r in p])
+    inv = 1 / div
+    return Matrix([[x * inv for x in r] for r in p])
 
 
 def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
     """``B0* = I`` and ``Bi* = v_i*(B1*)`` for ``1 <= i <= d``.
 
     In a Q-polynomial scheme every Krein matrix is the value polynomial of
-    the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is
-    :func:`value_sequence` at ``B1*``; the tensor is read off as
-    ``q^k_ij = Bi*[j, k]``.  The recurrence runs on cleared numerators
-    (see :func:`_cleared_levels`), and each level is divided once.
+    the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is the
+    three-term recurrence of ``B1*`` run at ``B1*``; the tensor is read off
+    as ``q^k_ij = Bi*[j, k]``.  The recurrence runs on cleared numerators
+    (see :func:`_cleared_levels`), O(d^3) in all, and each level is divided
+    once.
     """
-    levels = (p / div for p, div in _cleared_levels(spec))
-    return KreinTensor([Matrix.identity(spec.d + 1), *levels])
+    n = spec.d + 1
+    start = [[int(j == k) for k in range(n)] for j in range(n)]
+    levels = (_divided(p, div) for p, div in _cleared_levels(spec, start))
+    return KreinTensor([Matrix.identity(n), *levels])
 
 
 def krein_column(spec: KreinTridiagonal, i: int, k: int) -> tuple:
@@ -330,32 +360,29 @@ def krein_column(spec: KreinTridiagonal, i: int, k: int) -> tuple:
     ``j = 0..d``, equal to ``krein_ladder(spec).mats[i].col(k)``.
 
     The same cleared recurrence as :func:`krein_ladder`, started at the
-    unit vector ``e_k``, so each level is a matrix-vector product with
-    ``delta B1*``; only level i is divided.
+    unit column ``e_k``, so each level costs O(d); only level i is divided.
     """
     d = spec.d
     if not (0 <= i <= d and 0 <= k <= d):
         raise IndexError(f"no column {k} of B{i}* for d = {d}")
-    col = Matrix([[Fraction(j == k)] for j in range(d + 1)])  # column k of B0* = I
-    if i:
-        p, div = next(itertools.islice(_cleared_levels(spec, col), i - 1, None))
-        col = p / div
-    return col.col(0)
+    if not i:  # column k of B0* = I
+        return tuple(Fraction(j == k) for j in range(d + 1))
+    col = [[int(j == k)] for j in range(d + 1)]
+    p, div = next(itertools.islice(_cleared_levels(spec, col), i - 1, None))
+    return _divided(p, div).col(0)
 
 
-def value_sequence(spec: KreinTridiagonal, x, start=None):
+def value_sequence(spec: KreinTridiagonal, x):
     """Yield ``v0..v(d+1)`` at ``x`` from the three-term recurrence
     ``x v_i = b(i-1) v(i-1) + a_i v_i + c(i+1) v(i+1)`` with ``c(d+1) := 1``.
 
     ``x`` may be an exact number, a RatFunc, a MultiPoly variable (which
     gives the value polynomials) or a Matrix (``v0 = 1`` then stands for
-    the identity).  With a ``start`` vector s (a one-column Matrix when
-    ``x`` is a Matrix) it yields ``v_i(x) s`` instead, from ``v0 = s``.
-    ``v(d+1)`` annihilates the tridiagonal matrix, so its zeros are the
-    eigenvalues.  Each value is computed only when asked for.
+    the identity).  ``v(d+1)`` annihilates the tridiagonal matrix, so its
+    zeros are the eigenvalues.  Each value is computed only when asked for.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
-    prev, cur = (Fraction(1), x) if start is None else (start, x * start)
+    prev, cur = Fraction(1), x
     yield prev
     for i in range(1, d + 1):
         yield cur

@@ -214,11 +214,11 @@ class TestRatFunc:
         h = RatFunc(r, MultiPoly.one() + s * s)
         assert (f + g) * h == f * h + g * h
 
-    def test_distributivity_on_a_prs_hard_case(self):
-        # One draw of the property above that the pseudo-remainder sequence
-        # alone needs minutes for (coefficient swell in the trivariate gcds);
-        # the heuristic gcd answers it in milliseconds.  SIGALRM fails the
-        # test after 5 s instead of letting a lost fast path hang the suite.
+    def test_distributivity_on_a_trivariate_gcdheu_case(self):
+        # One draw of the property above whose trivariate gcds swell under a
+        # pseudo-remainder sequence (minutes); the heuristic gcd, the one
+        # multivariate gcd, answers it in milliseconds.  SIGALRM fails the
+        # test after 5 s instead of letting a slow gcd hang the suite.
         u, v, w = MultiPoly.var("u"), MultiPoly.var("v"), MultiPoly.var("w")
         s = -4 * v**2 * w**2 + 4 * u**2 * v
         f = RatFunc(3 * u * v**2 * w**2 - 2 * u**2 * v * w, s)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import signal
 from fractions import Fraction
@@ -39,6 +40,7 @@ from asx.scheme import (
     tridiagonal_from_tensor,
     value_sequence,
 )
+from test_kernels import BIG_DENOMINATORS
 
 K4 = KreinTridiagonal(1, c=[1], a=[2], b=[3])
 C5 = KreinTridiagonal(2, c=[1, 1], a=[0, 1], b=[2, 1])
@@ -101,17 +103,18 @@ class TestLadder:
                 assert a * b == b * a
 
 
-def _random_array(rng: random.Random) -> KreinTridiagonal:
+def _random_array(rng: random.Random, d=None, dens=(1, 1, 2, 3, 7), top=9) -> KreinTridiagonal:
     """A tridiagonal array with signed rational entries (c1* = 1, no zero
-    c* or b*); not the array of a scheme, only of the recurrence."""
+    c* or b*) over the denominators ``dens``, of ``d`` classes (1 to 6 when
+    None); not the array of a scheme, only of the recurrence."""
 
     def value(nonzero):
         while True:
-            x = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+            x = Fraction(rng.randint(-top, top), rng.choice(dens))
             if x or not nonzero:
                 return x
 
-    d = rng.randint(1, 6)
+    d = d or rng.randint(1, 6)
     return KreinTridiagonal(
         d,
         c=[1] + [value(True) for _ in range(d - 1)],
@@ -137,6 +140,10 @@ LADDER_ROUTE_SPECS = {
         scheme_from_relations(named_scheme("petersen", None)).kreins
     ),
     **{f"random-{k}": (lambda k=k: _random_array(random.Random(k))) for k in range(20)},
+    # large coprime denominators: the ladder's common denominator delta^i
+    # runs to hundreds of digits
+    **{f"big-d{d}": (lambda d=d: _random_array(
+        random.Random(100 + d), d, (1, 2, 3, *BIG_DENOMINATORS), 10**4)) for d in range(5, 11)},
 }
 
 
@@ -153,7 +160,8 @@ def test_ladder_matches_the_plain_recurrence(name):
         assert [list(map(str, r)) for r in g.rows] == [list(map(str, r)) for r in p.rows]
 
 
-@pytest.mark.parametrize("name", ["H(3,3)", "casev-m5", "casev-symbolic", "free-b4", "free-b4-a3"])
+@pytest.mark.parametrize("name", ["H(3,3)", "casev-m5", "casev-symbolic", "free-b4", "free-b4-a3",
+                                  "Q(sqrt 5)", *(f"big-d{d}" for d in range(5, 11))])
 def test_krein_column_is_the_ladder_column(name):
     spec = LADDER_ROUTE_SPECS[name]()
     mats = krein_ladder(spec).mats
@@ -163,23 +171,35 @@ def test_krein_column_is_the_ladder_column(name):
         assert list(map(str, got)) == list(map(str, mats[i].col(k)))
 
 
+def _hamming_intersection(d: int, q: int, i: int, j: int, k: int) -> int:
+    """p^k_ij of H(d, q) by counting: for x, y at distance k, the words z
+    at distance i from x and j from y.  On the k coordinates where x and y
+    differ, z agrees with x on alpha, with y on beta and with neither on
+    gamma; off them it differs from both on epsilon of the d - k."""
+    total = 0
+    for alpha in range(k + 1):
+        for beta in range(k - alpha + 1):
+            gamma = k - alpha - beta
+            eps = i - beta - gamma
+            if eps >= 0 and alpha + gamma + eps == j:
+                total += (math.factorial(k) // (math.factorial(alpha) * math.factorial(beta)
+                                                 * math.factorial(gamma))
+                          * (q - 2) ** gamma * math.comb(d - k, eps) * (q - 1) ** eps)
+    return total
+
+
+@pytest.mark.parametrize("d, q", [(16, 2), (9, 3), (6, 4)])
+def test_hamming_ladder_matches_the_counting_formula(d, q):
+    # H(d, q) is formally self-dual, so q^k_ij = p^k_ij, counted independently
+    tensor = krein_ladder(hamming(d, q))
+    for i, j, k in itertools.product(range(d + 1), repeat=3):
+        assert tensor.q(i, j, k) == _hamming_intersection(d, q, i, j, k), (i, j, k)
+
+
 @pytest.mark.parametrize("i, k", [(3, 0), (0, 3), (-1, 0), (0, -1)])
 def test_krein_column_out_of_range(i, k):
     with pytest.raises(IndexError):
         krein_column(C5, i, k)
-
-
-@pytest.mark.parametrize("name", ["H(3,3)", "pentagon", "Q(sqrt 5)", "free-b4", "random-3"])
-def test_value_sequence_from_a_start_vector(name):
-    # v_i(x) s from v0 = s is the matrix sequence times s, for every i <= d+1
-    spec = LADDER_ROUTE_SPECS[name]()
-    x, n = spec.first_matrix(), spec.d + 1
-    starts = [Matrix([[Fraction(j == k)] for j in range(n)]) for k in range(n)]
-    starts.append(Matrix([[Fraction(j * j - 3, j + 2)] for j in range(n)]))
-    for s in starts:
-        got = list(value_sequence(spec, x, s))
-        assert got == [v * s for v in value_sequence(spec, x)]
-        assert got[0] is s
 
 
 class TestDualEigensystem:
