@@ -323,14 +323,12 @@ def derive_section32() -> DerivationTranscript:
             DerivationStep(idx, claim, tuple(idents), conclusion, verified, discrepancy)
         )
 
-    # step 1: q^5_25 from the first ladder step forces b4* = 1
-    spec0 = _free_tridiagonal()
-    b1m = spec0.first_matrix()
-    b2m = (b1m * b1m - m) / c2
+    # steps 1-4 each read one Krein column; step 1: q^5_{2,5}, entry 5 of
+    # column 5 of B2*, forces b4* = 1
     check(
         1,
         "entry (5,5) of B2*",
-        [("q^5_{2,5}", b2m[5, 5], m * (b4 - 1) / c2)],
+        [("q^5_{2,5}", krein_column(_free_tridiagonal(), 2, 5)[5], m * (b4 - 1) / c2)],
         "b4* = 1",
     )
 
@@ -764,9 +762,7 @@ def fused_krein_reference_report() -> FusedKreinComparison:
     c1 = fuse(krein_ladder(cspec.spec), CASE_V_PARTITION).mats[1]
     mm = RatFunc.var("m")
     two_m = 2 * mm
-    sums_ok = all(
-        sum((c1[j, k] for j in range(4)), Fraction(0)) == two_m for k in range(4)
-    )
+    sums_ok = all(s == two_m for s in c1.column_sums())
     reported = reported_fused_krein(mm)
     entries = []
     for j in range(4):

@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success / feasible / verified; 1 infeasible or contradiction
 where feasibility was queried, including ``check`` input that is not a
 scheme (complex or repeated dual eigenvalues); 2 input error, including a
-params file with d > 16 (see :mod:`asx.params`); 3 internal verification
-failure.  All numbers in reports are exact strings; ``--approx`` adds a
-decimal hint in text mode.
+params file with d > 16 (see :mod:`asx.params`) and a result holding an
+integer too long to print; 3 internal verification failure.  All numbers
+in reports are exact strings; ``--approx`` adds a decimal hint in text
+mode.
 """
 
 from __future__ import annotations
@@ -247,6 +248,15 @@ def run(argv) -> int:
         ZeroDivisionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # a result too long to print: every report is built before any of
+        # it is printed, so nothing has reached stdout
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has an integer of more than {limit} digits, "
+              "too long to print", file=sys.stderr)
         return EXIT_INPUT
     except AsxError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

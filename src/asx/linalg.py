@@ -10,10 +10,10 @@ their entries checked, so a result whose irrational parts cancel holds
 Fractions.  The inverse, the determinant and the nullspace come from one
 fraction-free Gauss-Jordan elimination (Bareiss 1968), on integer numerators
 over Q and Q(sqrt D) and on the entries themselves over Q(x1, ..., xk).
-Products over Q and Q(sqrt D) run on integer numerators too, and products
-of RatFunc entries skip zero factors.  A scalar operand s stands for s I:
-``M - s``, ``s * M`` and ``M / s``.  Matrices are equal when their row
-tuples are, and print each entry as its exact ``str``.
+A product sums its entrywise terms in the field itself, skipping zero
+factors.  A scalar operand s stands for s I: ``M - s``, ``s * M`` and
+``M / s``.  Matrices are equal when their row tuples are, and print each
+entry as its exact ``str``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, MixedScalars, SingularMatrix
 from .poly import RatFunc
-from .scalars import QuadraticNumber, dot_parts, exact_sums, from_integer_parts, integer_parts
+from .scalars import QuadraticNumber, exact_sums, from_integer_parts, integer_parts
 
 
 def _check_kinds(entries):
@@ -105,21 +105,9 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         cols = [other.col(j) for j in range(other.ncols)]
-        left = integer_parts([x for r in self.rows for x in r])
-        right = left and integer_parts([x for c in cols for x in c], left[3])
-        if not right:  # RatFunc entries: the entrywise sums, zero factors skipped
-            return Matrix(
-                [[sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in cols]
-                 for r in self.rows]
-            )
-        # over Q or Q(sqrt D): integer numerators over one common denominator
-        la, lb, lden, _ = left
-        ra, rb, rden, rad = right
-        n, den = self.ncols, lden * rden
-        lrows = [(la[i:i + n], lb[i:i + n]) for i in range(0, len(la), n)]
-        rcols = [(ra[j:j + n], rb[j:j + n]) for j in range(0, len(ra), n)]
         return Matrix(
-            [[from_integer_parts(*dot_parts(*r, *c, rad), den, rad) for c in rcols] for r in lrows]
+            [[sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in cols]
+             for r in self.rows]
         )
 
     def scale(self, s) -> "Matrix":

@@ -21,10 +21,10 @@ with a QuadraticNumber raises MixedScalars; the two are never equal.
 
 The gcd is a primitive pseudo-remainder sequence (PRS) for one variable
 and the heuristic gcd (GCDHEU), run until it succeeds, for several.  Fast
-paths for constants, monomials, monomial content and exact division come
-first; they carry all the load in the scheme computations, where
-denominators are monomials in the tridiagonal unknowns or univariate in
-the multiplicity parameter.
+paths for constants, monomials and monomial content come first; with the
+PRS they carry all the load in the scheme computations, where denominators
+are monomials in the tridiagonal unknowns or univariate in the
+multiplicity parameter.
 """
 
 from __future__ import annotations
@@ -543,13 +543,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if len(vs) == 1:
         a, b = (_primitive_list(_int_coeffs(_poly(vs, t))) for t in (tf, tg))
         return _monic(_upoly(vs[0], _prs(a, b)))
-    fa, ga = MultiPoly(vs, tf), MultiPoly(vs, tg)
-    # divisibility fast paths keep the common cases cheap
-    if poly_divides(ga, fa):
-        return _monic(ga)
-    if poly_divides(fa, ga):
-        return _monic(fa)
-    return _monic(_gcdheu(_split(fa)[1], _split(ga)[1]))
+    return _monic(_gcdheu(_split(MultiPoly(vs, tf))[1], _split(MultiPoly(vs, tg))[1]))
 
 
 # -- rational functions -------------------------------------------------------

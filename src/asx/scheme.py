@@ -145,7 +145,7 @@ class KreinTensor:
 
     def multiplicities(self) -> tuple:
         """``m_i`` as the column sums of ``Bi*`` (column 0)."""
-        return tuple(exact_sums([m.col(0)])[0] for m in self.mats)
+        return exact_sums(m.col(0) for m in self.mats)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -373,6 +373,30 @@ class TestFuse:
         out = capsys.readouterr().out
         assert "fused multiplicities: 1 2 -1/2+1/2*sqrt(5) (~0.618034)\n" in out
 
+    @pytest.mark.parametrize("report", ["text", "json"])
+    def test_result_past_the_digit_limit_is_an_input_error(self, tmp_path, capsys, report):
+        # every integer in the file is under params.MAX_DIGITS, but the
+        # fused matrices hold entries of more than 4300 digits, which
+        # Python refuses to convert to str
+        big = " ".join(["9" * 3000] * 3)
+        p = tmp_path / "long-result.params"
+        p.write_text(f"format: asx-params v1\nd: 3\nfield: Q\nc: 1 1 1\na: {big}\nb: {big}\n")
+        code = run(["--report", report, "fuse", str(p), "--partition", "0|1|2|3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a result has an integer of more than 4300 digits, too long to print\n"
+        )
+
+    def test_other_value_errors_propagate(self, m5_file, monkeypatch):
+        def broken(*args):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr("asx.cli.fuse", broken)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            run(["fuse", m5_file, "--partition", "0|1,5|2,3|4"])
+
 
 class TestCaseV:
     def test_search(self, capsys):

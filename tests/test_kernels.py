@@ -1,10 +1,14 @@
-"""Differential tests of the integer-numerator kernels.
+"""Differential tests of the integer-numerator kernels and the matrix product.
 
-``Matrix.__mul__`` and ``scheme.triple_sums`` run on integer numerators over
-one common denominator; here they are compared against plain entrywise
-loops over Fraction and QuadraticNumber, on seeded inputs over Q, Q(sqrt 2),
-Q(sqrt 5) and Q(sqrt 21) with zeros, negative entries, denominators above
-10**6 and rational entries mixed into quadratic ones.
+``scalars.integer_parts`` and ``scheme.triple_sums`` run on integer
+numerators over one common denominator; here they are compared against plain
+entrywise loops over Fraction and QuadraticNumber, on seeded inputs over Q,
+Q(sqrt 2), Q(sqrt 5) and Q(sqrt 21) with zeros, negative entries,
+denominators above 10**6 and rational entries mixed into quadratic ones.
+``Matrix.__mul__`` skips zero factors; on the same inputs, and on RatFunc
+entries, it is compared with the dense loop that takes every term, values
+and types.  Its independent reference, sympy's DomainMatrix product, is in
+``test_linalg.test_elimination_agrees_with_sympy``.
 """
 
 import random

@@ -347,8 +347,8 @@ def test_results_over_q_hold_only_fractions():
 
 @pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 21)", "Q(m)"])
 def test_elimination_agrees_with_sympy(field):
-    # Differential check of inverse, determinant and nullspace against
-    # sympy's exact domain matrices over QQ, QQ<sqrt(d)> and QQ(m).
+    # Differential check of the product, inverse, determinant and nullspace
+    # against sympy's exact domain matrices over QQ, QQ<sqrt(d)> and QQ(m).
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
@@ -379,8 +379,16 @@ def test_elimination_agrees_with_sympy(field):
         )
         return K.from_sympy(num / den)
 
-    for a in _random_matrices(field):
-        ref = DomainMatrix([[to_sympy(x) for x in r] for r in a.rows], (a.nrows, a.ncols), K)
+    def to_domain(a):
+        return DomainMatrix([[to_sympy(x) for x in r] for r in a.rows], (a.nrows, a.ncols), K)
+
+    mats = _random_matrices(field)
+    refs = [to_domain(a) for a in mats]
+    n = len(mats)
+    for i, (a, ref) in enumerate(zip(mats, refs)):
+        # a times the next matrix in the list (cyclically) that it fits
+        j = next(k % n for k in range(i + 1, i + 1 + n) if mats[k % n].nrows == a.ncols)
+        assert to_domain(a * mats[j]) == ref * refs[j]
         basis = nullspace(a)
         assert len(basis) == a.ncols - ref.rank()
         for v in basis:

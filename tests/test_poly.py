@@ -126,9 +126,9 @@ def test_gcd_examples():
 
 
 def test_gcd_agrees_with_sympy():
-    # Products in 2-3 variables that share a random factor and do not divide
-    # one another reach GCDHEU, and so do the fixed pairs below, except the
-    # one for the divisibility fast path.
+    # Products in 2-3 variables that share a random factor reach GCDHEU, and
+    # so do the fixed pairs below, the ones where an input divides the
+    # other included.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(6)
 
@@ -158,7 +158,11 @@ def test_gcd_agrees_with_sympy():
     # v is missing from the second input
     u, v = MultiPoly.var("u"), MultiPoly.var("v")
     cases.append(((m + u) * (v + 2) * (u - 1), (m + u) * (m * m + u)))
-    cases.append((m + u, (m + u) * (u - v + 1)))  # the first divides the second
+    f = (m + u) * (u - v + 1)
+    cases.append((m + u, f))  # the first divides the second
+    cases.append((f, m + u))  # the second divides the first
+    cases.append((f, f * Fraction(3, 2)))  # equal up to a rational constant
+    cases.append((f, -f))
     # GCDHEU's level in (b, c) needs a second evaluation point
     a, b, c = (MultiPoly.var(name) for name in "abc")
     cases.append((-2 * a**2 * b**2 * c**2 - 2 * a**2 * b * c**2 - 4 * b**2 - 4 * b,
