@@ -25,6 +25,10 @@ paths for constants, monomials and monomial content come first; with the
 PRS they carry all the load in the scheme computations, where denominators
 are monomials in the tridiagonal unknowns or univariate in the
 multiplicity parameter.
+
+A univariate polynomial factors over Q into irreducibles of degree <= 2 by
+Kronecker's method on its primitive integer model: one candidate-and-divide
+pass per degree, over divisor lists computed once per pass.
 """
 
 from __future__ import annotations
@@ -771,44 +775,6 @@ def _divisors(n: int) -> list[int]:
     return small + big[::-1]
 
 
-def _rational_roots(coeffs: list[int]) -> tuple[list[Fraction], list[int]]:
-    """Strip all rational roots (with multiplicity).
-
-    Returns ``(roots, rest)``, ``rest`` the primitive integer model of what
-    remains.  The search runs in integers: a root p/q of the primitive
-    model f (lowest terms) has p | f(0) and q | lc(f); f(p/q) = 0 exactly
-    when the homogeneous sum sum_i a_i p^i q^(n-i) vanishes; and then f
-    deflates exactly by q x - p in Z[x], by Gauss's lemma.
-    """
-    f = _primitive_list(coeffs)
-    roots: list[Fraction] = []
-    while f[0] == 0 and len(f) > 1:
-        roots.append(Fraction(0))
-        f = f[1:]
-    while len(f) >= 2:
-        if len(f) == 2:
-            roots.append(Fraction(-f[0], f[1]))
-            return roots, [1]
-        qs = _divisors(f[-1])
-        found = next(
-            (
-                Fraction(num, q)
-                for p in _divisors(f[0])
-                for q in qs
-                for num in (p, -p)
-                if _homogeneous_value(f, num, q) == 0
-            ),
-            None,
-        )
-        if found is None:
-            break
-        linear = [-found.numerator, found.denominator]
-        while (h := _exact_quotient(f, linear)) is not None:
-            roots.append(found)
-            f = h
-    return roots, f
-
-
 def _homogeneous_value(f: list[int], p: int, q: int) -> int:
     """``q^n f(p/q)`` for the integer list ``f`` of degree n."""
     acc, qk = 0, 1
@@ -818,33 +784,40 @@ def _homogeneous_value(f: list[int], p: int, q: int) -> int:
     return acc
 
 
-def _kronecker_quadratic(f: list[int]):
-    """Find a quadratic factor of ``f``, a primitive integer polynomial with
-    no rational roots.
+def _linear_candidates(f: list[int]):
+    """``[-a, q]`` for each root a/q of ``f`` in lowest terms with ``q > 0``,
+    over the divisors of f(0) and lc(f) as the pass starts; the divisibility
+    filters read f as it stands."""
+    qs = _divisors(f[-1])
+    for a in _divisors(f[0]):
+        if f[0] % a:
+            continue
+        for q in qs:
+            if gcd(a, q) == 1 and not f[-1] % q:
+                for num in (a, -a):
+                    if _homogeneous_value(f, num, q) == 0:
+                        yield [-num, q]
 
-    Kronecker's method restricted to degree 2 (Knuth, TAOCP vol. 2, sec. 4.6.2).
-    By Gauss's lemma a rational quadratic factor scales to a primitive
-    ``g = c2 x^2 + c1 x + c0`` in Z[x] with ``c2 > 0`` and ``g | f`` in Z[x];
-    then ``g(t) | f(t)`` at every integer t, and ``f(t) != 0`` because f has
-    no rational root.  The candidates are the interpolants through divisors
-    ``d0 | f(0)``, ``d1 | f(1)``, ``dm1 | f(-1)`` of either sign, so every
-    such g is among them.  A candidate is rejected only on a condition that
-    g meets:
 
-    - ``c2 > 0``: g and -g are the same factor;
-    - ``c2 | lc(f)``, the leading coefficient of ``f = g h`` in Z[x];
-    - ``g(2) != 0``, ``g(-2) != 0``, ``g(2) | f(2)`` and ``g(-2) | f(-2)``;
-    - exact division: the quotient of f by primitive g is integral, so the
-      division stops at the first leading term that ``c2`` does not divide.
-
-    Returns ``(g, f / g)`` as integer lists, or None.
-    """
-    v2, vm2 = _homogeneous_value(f, 2, 1), _homogeneous_value(f, -2, 1)
+def _quadratic_candidates(f: list[int]):
+    """``g = [c0, c1, c2]`` interpolating divisors of either sign of f(0),
+    f(1) and f(-1) as the pass starts, with ``c2 > 0``, ``c2 | lc(f)``,
+    ``g(2) | f(2)`` and ``g(-2) | f(-2)``, both nonzero (f has no rational
+    root); the divisibility filters read f as it stands, and the lists
+    shrink to the divisors of its values once it has been divided."""
     d0s, d1s, dm1s = (
         [s * a for a in _divisors(_homogeneous_value(f, t, 1)) for s in (1, -1)]
         for t in (0, 1, -1)
     )
+    n = 0
     for d0 in d0s:
+        if len(f) != n:  # on the first d0 and after each division
+            n = len(f)
+            v1, vm1, v2, vm2 = (_homogeneous_value(f, t, 1) for t in (1, -1, 2, -2))
+            d1s = [d for d in d1s if not v1 % d]
+            dm1s = [d for d in dm1s if not vm1 % d]
+        if f[0] % d0:
+            continue
         for d1 in d1s:
             for dm1 in dm1s:
                 if (d1 + dm1) % 2:
@@ -854,12 +827,8 @@ def _kronecker_quadratic(f: list[int]):
                     continue
                 c1 = (d1 - dm1) // 2
                 g2, gm2 = 4 * c2 + 2 * c1 + d0, 4 * c2 - 2 * c1 + d0
-                if not g2 or not gm2 or v2 % g2 or vm2 % gm2:
-                    continue
-                quo = _exact_quotient(f, [d0, c1, c2])
-                if quo is not None:
-                    return [d0, c1, c2], quo
-    return None
+                if g2 and gm2 and not v2 % g2 and not vm2 % gm2:
+                    yield [d0, c1, c2]
 
 
 def _exact_quotient(f: list[int], g: list[int]):
@@ -877,6 +846,18 @@ def _exact_quotient(f: list[int], g: list[int]):
     return None if any(rem[:n]) else quo
 
 
+def _divide_out(f: list[int], candidates, factors: list) -> None:
+    """Divide ``f`` in place by each candidate, drawn from f itself, as
+    often as the division goes, one entry in ``factors`` per division, until
+    f has no higher degree than the candidates."""
+    for g in candidates:
+        while (quo := _exact_quotient(f, g)) is not None:
+            factors.append(g)
+            f[:] = quo
+        if len(f) <= len(g):
+            break
+
+
 def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
     """Factor a univariate rational polynomial into irreducibles of degree <= 2.
 
@@ -884,30 +865,41 @@ def factor_low_degree(p: MultiPoly) -> tuple[Fraction, list[MultiPoly]]:
     multiplicity, whose product times the constant reproduces ``p``.  Raises
     UnsupportedAlgebraicDegree when an irreducible factor of degree >= 3
     remains: the scalar tower stops at quadratic extensions.
+
+    Kronecker's method for factors of degree 1 and 2 (Knuth, TAOCP vol. 2,
+    sec. 4.6.2) on the primitive integer model f of ``p``, its zero roots
+    stripped.  By Gauss's lemma a rational factor of f scales to a
+    primitive g in Z[x] with ``lc(g) > 0`` and ``g | f`` in Z[x], so
+    ``lc(g) | lc(f)`` and ``g(t) | f(t)`` at every integer t.  Hence both
+    candidate sets are complete: a linear factor is ``q x - p`` with
+    ``p | f(0)``, ``q | lc(f)`` and ``q^n f(p/q) = 0``, and a quadratic one,
+    once f has no rational root, interpolates divisors of f(0), f(1) and
+    f(-1).  One pass per degree, over the divisor lists of f as the pass
+    starts, suffices: a factor of a quotient divides f too, so it is among
+    the candidates, and the pass divides by each candidate as often as the
+    division goes, so none needs a second look.  What remains of degree
+    <= 2 is irreducible; of odd degree >= 3 with no rational root, or of
+    degree >= 3 after the quadratic pass, it has an irreducible factor of
+    degree >= 3.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     if len(p.vars) > 1:
         raise ValueError("factor_low_degree needs a univariate polynomial")
     name = p.vars[0] if p.vars else "x"
-    roots, rest = _rational_roots(_int_coeffs(p))
-    factors = [_monic(_upoly(name, [-r.numerator, r.denominator])) for r in roots]
-    while len(rest) - 1 >= 3:
-        if (len(rest) - 1) % 2:
-            # odd degree with no rational root: an odd irreducible remains
-            raise UnsupportedAlgebraicDegree(
-                f"irreducible factor of degree >= 3 in {p}"
-            )
-        hit = _kronecker_quadratic(rest)
-        if hit is None:
-            raise UnsupportedAlgebraicDegree(
-                f"irreducible factor of degree >= 3 in {p}"
-            )
-        quad, rest = hit
-        factors.append(_monic(_upoly(name, quad)))
-    if len(rest) > 1:
-        factors.append(_monic(_upoly(name, rest)))
-    factors.sort(key=lambda f: (f.total_degree(), f.coeff_list()))
+    f = _primitive_list(_int_coeffs(p))
+    zeros = next(k for k, c in enumerate(f) if c)
+    found, f = [[0, 1]] * zeros, f[zeros:]
+    if len(f) > 2:
+        _divide_out(f, _linear_candidates(f), found)
+    if len(f) > 3 and len(f) % 2:
+        _divide_out(f, _quadratic_candidates(f), found)
+    if len(f) > 3:
+        raise UnsupportedAlgebraicDegree(f"irreducible factor of degree >= 3 in {p}")
+    if len(f) > 1:
+        found.append(f)
+    factors = [_monic(_upoly(name, g)) for g in found]
+    factors.sort(key=lambda g: (g.total_degree(), g.coeff_list()))
     return p.leading_coeff(), factors
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asx import poly
 from asx.errors import ComplexRoots, UnsupportedAlgebraicDegree
 from asx.poly import (
     MultiPoly,
@@ -17,6 +18,7 @@ from asx.poly import (
     roots_low_degree,
 )
 from asx.scalars import QuadraticNumber
+from asx.scheme import KreinTridiagonal, value_sequence
 
 x = MultiPoly.var("x")
 m = MultiPoly.var("m")
@@ -301,7 +303,8 @@ class TestFactorLowDegree:
     def test_agrees_with_sympy_factor_list(self):
         # Differential check of the integer factor search against sympy on
         # sextics with coefficients as large as the casev annihilators'
-        # (up to about 10^5 in the primitive integer model).
+        # (up to about 10^5 in the primitive integer model), and on repeated
+        # factors, which each pass divides out as often as the division goes.
         sympy = pytest.importorskip("sympy")
         X = sympy.Symbol("x")
         rng = random.Random(4)
@@ -323,6 +326,17 @@ class TestFactorLowDegree:
         inputs += [product(irreducible(2, 60), irreducible(4, 40)) for _ in range(14)]
         inputs += [product(irreducible(3, 40), irreducible(3, 40)) for _ in range(14)]
         inputs += [product(random_sextic()) for _ in range(14)]
+
+        def linear(bound):
+            return MultiPoly.univariate("x", [rng.randint(1, bound) * rng.choice((1, -1)), rng.randint(1, 12)])
+
+        inputs += [product((2 * x - 3) ** 3), product((3 * x * x - x + 5) ** 2)]
+        inputs += [product(linear(60) ** 3, linear(60) ** 2) for _ in range(6)]
+        inputs += [product(irreducible(2, 60) ** 2, linear(60)) for _ in range(6)]
+        inputs += [product(x ** k, irreducible(2, 60), linear(60) ** (k - 1)) for k in (2, 3, 4)]
+        inputs += [product(x ** 2, irreducible(4, 40))]
+        inputs += [product(linear(300), linear(300), irreducible(2, 300)) for _ in range(6)]
+        inputs += [product(linear(60) ** 2, irreducible(2, 60) ** 2) for _ in range(4)]
         for p in inputs:
             coeff, pairs = sympy.Poly(p.coeff_list()[::-1], X, domain="QQ").factor_list()
             expected_lc = Fraction(str(coeff))
@@ -339,6 +353,19 @@ class TestFactorLowDegree:
             lc, fs = factor_low_degree(p)
             assert (lc, fs) == (expected_lc, expected)
             assert _expand(lc, fs) == p
+
+    def test_each_divisor_list_is_enumerated_once(self, monkeypatch):
+        # H(16,2) is self-dual, and its annihilator is prod (x - (16 - 2i)):
+        # one pass over the divisors of f(0) and lc(f) finds all 17 roots.
+        spec = KreinTridiagonal(16, c=list(range(1, 17)), a=[0] * 16, b=list(range(16, 0, -1)))
+        *_, annihilator = value_sequence(spec, MultiPoly.var("x"))
+        calls = []
+        divisors = poly._divisors
+        monkeypatch.setattr(poly, "_divisors", lambda n: calls.append(n) or divisors(n))
+        lc, fs = factor_low_degree(annihilator)
+        assert len(calls) <= 2
+        assert fs == sorted((x - (16 - 2 * i) for i in range(17)), key=lambda f: f.coeff_list())
+        assert _expand(lc, fs) == annihilator
 
     def test_roots(self):
         p = (x * x + 4 * x + MultiPoly.const(Fraction(5, 3))) * (x - 5)
