@@ -569,6 +569,11 @@ SCREEN_MODULI = (65, 63, 11)
 #: 76% of m, 19 keeps 47%, 23 keeps 48%).
 SECOND_SCREEN_MODULI = (17, 19, 23)
 
+#: The largest search bound :func:`search_m` accepts: every m is visited,
+#: about 0.6-0.7 s per 10^7 on one core, so a search at the bound takes
+#: about 6 s.
+MAX_SEARCH = 10**8
+
 
 def square_screen(q: int) -> bytes:
     """Byte ``r`` is 1 when ``_delta_squared(m)`` is a square mod ``q`` for
@@ -596,10 +601,13 @@ def search_m(max_m: int) -> list[int]:
     :data:`SCREEN_MODULI` (about 10% pass, see :func:`square_screen`),
     each m that passes is tested against those of
     :data:`SECOND_SCREEN_MODULI` (about 17% of those pass, 1.8% of all m),
-    and ``isqrt`` decides every m that passes both.
+    and ``isqrt`` decides every m that passes both.  A bound outside
+    1..MAX_SEARCH raises InvalidParameter.
     """
     if max_m < 1:
         raise InvalidParameter(f"search bound must be >= 1, got {max_m}")
+    if max_m > MAX_SEARCH:
+        raise InvalidParameter(f"search bound must be <= {MAX_SEARCH}, got {max_m}")
     # the mask repeated without end, from m = 1 (itertools.cycle would keep a copy)
     masks = itertools.chain.from_iterable(itertools.repeat(_screen_mask(SCREEN_MODULI)))
     screen = itertools.islice(masks, 1, None)

@@ -15,7 +15,7 @@ Values are exact rationals ``p/q`` or quadratic literals
 ``#`` starts a comment.
 
 ``d`` must lie in 1..MAX_D (16).  Every command that reads a file runs
-the Krein ladder, which is O(d^4), and ``check`` also factors the
+the Krein ladder, which is O(d^3), and ``check`` also factors the
 annihilator; the bound keeps the work of any accepted file small.
 
 Every radicand, the field's and each ``sqrt(D)`` literal's, must lie in

@@ -29,6 +29,11 @@ multiplicity parameter.
 A univariate polynomial factors over Q into irreducibles of degree <= 2 by
 Kronecker's method on its primitive integer model: one candidate-and-divide
 pass per degree, over divisor lists computed once per pass.
+
+Polynomials in one variable also travel as dense integer coefficient lists,
+packed into one int as their value at 2^K (Kronecker substitution), so that
+int arithmetic does their ring arithmetic; :func:`ratfuncs_over` turns
+quotients of such lists into RatFuncs in normal form.
 """
 
 from __future__ import annotations
@@ -925,3 +930,79 @@ def roots_low_degree(p: MultiPoly) -> list:
             out.append((-b + s) / 2)
             out.append((-b - s) / 2)
     return out
+
+
+# -- one-variable polynomials packed into integers -------------------------------
+
+
+def coefficient_lists(values):
+    """``(name, lists)`` when the values are polynomials in the one variable
+    ``name`` (MultiPolys, RatFuncs with constant denominator, rationals):
+    their dense integer coefficient lists, lowest power first, scaled by
+    one common denominator.  None otherwise."""
+    polys = [x.num if isinstance(x, RatFunc) and x.is_polynomial() else MultiPoly._coerce(x)
+             for x in values]
+    if None in polys or len(names := {v for p in polys for v in p.vars}) != 1:
+        return None
+    den = lcm(*(p.den for p in polys))
+    return names.pop(), [[c * (den // p.den) for c in _int_coeffs(p)] for p in polys]
+
+
+def kronecker_pack(coeffs: list[int], width: int) -> int:
+    """The value at ``2^width`` of the integer coefficient list ``coeffs``
+    (Kronecker substitution)."""
+    return sum(c << (width * k) for k, c in enumerate(coeffs))
+
+
+def kronecker_unpack(x: int, width: int) -> list[int]:
+    """The integer coefficient list, no trailing zeros, whose value at
+    ``2^width`` is ``x``: the balanced base-``2^width`` digits of x.  It is
+    the list :func:`kronecker_pack` packed when each coefficient has
+    absolute value below ``2^(width-1)``."""
+    base = 1 << width
+    half, digits = base >> 1, []
+    while x:
+        r = x & (base - 1)
+        if r >= half:
+            r -= base
+        digits.append(r)
+        x = (x - r) >> width
+    return digits
+
+
+def _signed_content(xs: list[int]) -> tuple[int, list[int]]:
+    """``(g, ys)`` with ``xs = g * ys``, ``ys`` primitive with positive last
+    (leading) coefficient."""
+    g = gcd(*xs)
+    if xs[-1] < 0:
+        g = -g
+    return g, [v // g for v in xs]
+
+
+def _list_quotient(f: list[int], g: list[int]) -> list[int]:
+    if (quo := _exact_quotient(f, g)) is None:
+        raise ArithmeticError("not divisible")
+    return quo
+
+
+def ratfuncs_over(name: str, nums: list[list[int]], den: list[int]) -> list[RatFunc]:
+    """``n / den`` as a RatFunc in ``name`` for each integer coefficient
+    list ``n`` of ``nums`` (``[]`` is 0), in the normal form the RatFunc
+    arithmetic gives: contents and signs go to the scalar, and the
+    primitive parts are divided by their primitive PRS gcd.  ``den`` is
+    split once for all of them."""
+    gd, d = _signed_content(den)
+    dpoly, out = _upoly(name, d), []
+    for n in nums:
+        if not n:
+            out.append(RatFunc.zero())
+            continue
+        gn, n = _signed_content(n)
+        q = dpoly
+        if len(n) > 1 and len(d) > 1:
+            _, g = _signed_content(_prs(n, d))
+            if len(g) > 1:
+                n, q = _list_quotient(n, g), _upoly(name, _list_quotient(d, g))
+        out.append(_ratfunc(Fraction(gn, gd), _upoly(name, n), q))
+    return out
+

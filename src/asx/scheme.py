@@ -9,8 +9,10 @@ Everything here works on exact scalars.  The central objects:
   from a tridiagonal spec as ``Bi* = v_i*(B1*)``, the value polynomials of
   the three-term recurrence evaluated at ``B1*``.  The ladder runs the
   recurrence in monic form on rows with the array's denominators cleared
-  once (ints over Q, polynomials over Q(x)), three rows of one level per
-  row of the next, O(d^3), and divides each level once;
+  once (ints over Q, polynomials over Q(x1, ..., xk)), three rows of one
+  level per row of the next, O(d^3), and divides each level once.
+  Polynomials in one variable x run as ints too, each packed as its value
+  at x = 2^K for a K wide enough to read every coefficient back;
   :func:`krein_column` runs it on one column, :func:`value_sequence` at a
   number or a polynomial variable.
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
@@ -44,7 +46,15 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .linalg import Matrix
-from .poly import MultiPoly, RatFunc, roots_low_degree
+from .poly import (
+    MultiPoly,
+    RatFunc,
+    coefficient_lists,
+    kronecker_pack,
+    kronecker_unpack,
+    ratfuncs_over,
+    roots_low_degree,
+)
 from .scalars import (
     QuadraticNumber,
     dot_parts,
@@ -286,9 +296,9 @@ class FeasibilityReport(NamedTuple):
 
 
 def _cleared_levels(spec: KreinTridiagonal, start: list):
-    """Yield ``(P_i, delta^i c1*..ci*)`` for ``1 <= i <= d``: ``P_i`` is a
-    list of rows, ``P_i / (delta^i c1*..ci*) = Bi* S`` for the rows ``S``
-    of ``start``.
+    """Yield ``(P_i, delta^i c1*..ci*, packing)`` for ``1 <= i <= d``:
+    ``P_i`` is a list of rows, ``P_i / (delta^i c1*..ci*) = Bi* S`` for the
+    rows ``S`` of ``start``, whose entries are 0 and 1.
 
     ``P_i`` follows the monic recurrence of ``delta B1*``: ``P(i+1) =
     (delta B1* - delta a_i*) P_i - delta^2 b(i-1)* ci* P(i-1)``.  ``delta``
@@ -297,13 +307,25 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
     polynomial and takes no gcd; 1 over Q(sqrt D).  ``B1*`` is tridiagonal,
     so row j of ``delta B1* P_i`` combines rows j-1, j and j+1 of ``P_i``:
     four products per entry, not d + 1.
+
+    When the cleared entries are polynomials in one variable x, they are
+    scaled by the common denominator of their coefficients and each is
+    packed as the int p(2^K) (Kronecker substitution), so the same int
+    recurrence runs as over Q, and ``packing`` is ``(x, K)`` (else None).
+    Evaluation at 2^K is a ring map, so a packed ``P_i`` holds the values
+    of the polynomial ``P_i`` there.  Width: let S = B + 2A + C + BC with
+    A, B, C the largest coefficient 1-norm of a scaled a*, b*, c*.  An entry
+    of ``P(i+1)`` adds four products whose 1-norms are at most B N_i,
+    2A N_i, C N_i and BC N(i-1), with N_i the largest 1-norm in ``P_i``;
+    N_0 = 1 and N(-1) = 0, so N_i <= S^i by induction, and the divisor's
+    1-norm is at most C^i <= S^i.  Every coefficient up to level d is thus
+    below S^d < 2^(d bitlen(S)), and K = d bitlen(S) + 2 makes each a
+    balanced base-2^K digit, read back exactly by :func:`_divided`.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
+    ints, packing = None, None
     parts = integer_parts(c + a + b)
-    if parts and not parts[3]:  # over Q: int numerators over one delta
-        ints = parts[0]
-        c, a, b = ints[:d], ints[d:2 * d], ints[2 * d:]
-    else:
+    if parts is None:  # over Q(x1, ..., xk)
         delta = Fraction(1)
         for x in c + a + b:
             if isinstance(x, RatFunc):
@@ -312,6 +334,16 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
                 delta *= RatFunc((delta * x).den)
         if delta != 1:
             c, a, b = ([delta * x for x in xs] for xs in (c, a, b))
+        if packed := coefficient_lists(c + a + b):
+            name, lists = packed
+            norms = [sum(map(abs, p)) for p in lists]
+            nc, na, nb = (max(norms[k:k + d]) for k in (0, d, 2 * d))
+            width = d * (nb + 2 * na + nc + nb * nc).bit_length() + 2
+            ints, packing = [kronecker_pack(p, width) for p in lists], (name, width)
+    elif not parts[3]:  # over Q: int numerators over one delta
+        ints = parts[0]
+    if ints is not None:
+        c, a, b = ints[:d], ints[d:2 * d], ints[2 * d:]
     # row j of delta B1* is lo[j], mid[j], hi[j] at columns j-1, j, j+1;
     # step i shifts by mid[i] (0 before P_1)
     lo, mid, hi = (0, *b), (0, *a), (*c, 0)
@@ -328,11 +360,19 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
                         for u, x, w, y in zip(up, cur[j], down, prev[j])])
         prev, cur = cur, nxt
         div *= c[i]
-        yield cur, div
+        yield cur, div, packing
 
 
-def _divided(p: list, div) -> Matrix:
-    """The matrix ``p / div``: one Fraction per entry for int rows."""
+def _divided(p: list, div, packing) -> Matrix:
+    """The matrix ``p / div``: one Fraction per entry for int rows; for
+    packed rows each entry and ``div`` are unpacked once, into coefficient
+    lists, and each quotient is built from those lists."""
+    if packing is not None:
+        name, width = packing
+        n = len(p[0])
+        flat = ratfuncs_over(name, [kronecker_unpack(x, width) for r in p for x in r],
+                             kronecker_unpack(div, width))
+        return Matrix([flat[k:k + n] for k in range(0, len(flat), n)])
     if isinstance(div, int):
         return Matrix([[Fraction(x, div) for x in r] for r in p])
     inv = 1 / div
@@ -346,12 +386,12 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
     the first one (Bannai-Ito III.1; BCN 2.7), so the ladder is the
     three-term recurrence of ``B1*`` run at ``B1*``; the tensor is read off
     as ``q^k_ij = Bi*[j, k]``.  The recurrence runs on cleared numerators
-    (see :func:`_cleared_levels`), O(d^3) in all, and each level is divided
-    once.
+    (see :func:`_cleared_levels`), O(d^3) in all, on ints over Q and over
+    Q(x) with one variable x, and each level is divided once.
     """
     n = spec.d + 1
     start = [[int(j == k) for k in range(n)] for j in range(n)]
-    levels = (_divided(p, div) for p, div in _cleared_levels(spec, start))
+    levels = (_divided(*level) for level in _cleared_levels(spec, start))
     return KreinTensor([Matrix.identity(n), *levels])
 
 
@@ -368,8 +408,7 @@ def krein_column(spec: KreinTridiagonal, i: int, k: int) -> tuple:
     if not i:  # column k of B0* = I
         return tuple(Fraction(j == k) for j in range(d + 1))
     col = [[int(j == k)] for j in range(d + 1)]
-    p, div = next(itertools.islice(_cleared_levels(spec, col), i - 1, None))
-    return _divided(p, div).col(0)
+    return _divided(*next(itertools.islice(_cleared_levels(spec, col), i - 1, None))).col(0)
 
 
 def value_sequence(spec: KreinTridiagonal, x):

@@ -11,6 +11,7 @@ from asx.casev import (
     CASE_V_PARTITION,
     EXPECTED_B1_M5,
     EXPECTED_Q_M5,
+    MAX_SEARCH,
     casev_spec,
     derive_section32,
     expected_fused_eigenmatrix,
@@ -252,6 +253,15 @@ class TestSearch:
     def test_invalid_bound(self):
         with pytest.raises(InvalidParameter):
             search_m(0)
+
+    def test_bound_above_the_limit(self):
+        # every m is visited, so a bound past MAX_SEARCH would run for hours;
+        # it is refused before any work, by the search and the theorem run
+        for call in (search_m, reject_case_v):
+            with pytest.raises(InvalidParameter, match=f"must be <= {MAX_SEARCH}, got {10**22}"):
+                call(10**22)
+        with pytest.raises(InvalidParameter):
+            search_m(MAX_SEARCH + 1)
 
     def test_residue_screen_rejects_only_non_squares(self):
         # the tables only skip isqrt: every m that either stage rejects has a

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asx.casev import casev_spec
+from asx.casev import MAX_SEARCH, casev_spec
 from asx.cli import _build_parser, run
 from asx.params import render_params
 
@@ -413,6 +413,15 @@ class TestCaseV:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: search bound must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("report", ["text", "json"])
+    @pytest.mark.parametrize("mode", [[], ["--reject"]])
+    def test_search_bound_above_the_limit_is_an_input_error(self, report, mode, capsys):
+        big = "10000000000000000000000"
+        assert run(["--report", report, "casev", *mode, "--search-max", big]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: search bound must be <= {MAX_SEARCH}, got {big}\n"
 
     def test_no_mode(self, capsys):
         assert run(["casev"]) == 2

@@ -13,8 +13,11 @@ from asx.poly import (
     MultiPoly,
     RatFunc,
     factor_low_degree,
+    kronecker_pack,
+    kronecker_unpack,
     poly_exact_div,
     poly_gcd,
+    ratfuncs_over,
     roots_low_degree,
 )
 from asx.scalars import QuadraticNumber
@@ -179,6 +182,29 @@ def test_gcd_agrees_with_sympy():
         want = from_sympy(sympy.gcd(to_sympy(f), to_sympy(h)), names)
         want = want * (Fraction(1) / want.leading_coeff())
         assert poly_gcd(f, h) == want, (f, h)
+
+
+@given(st.lists(st.integers(-(2**19), 2**19), max_size=8), st.integers(0, 40))
+def test_kronecker_unpack_inverts_pack(coeffs, extra):
+    # every coefficient below 2^(width-1) in absolute value is one balanced digit
+    width = 21 + extra
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert kronecker_unpack(kronecker_pack(coeffs, width), width) == coeffs
+
+
+@given(st.lists(st.lists(st.integers(-50, 50), max_size=4), min_size=1, max_size=4),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any))
+def test_ratfuncs_over_is_the_ratfunc_quotient(nums, den):
+    # the same normal form as dividing the polynomials as RatFuncs
+    while not den[-1]:
+        den.pop()
+    nums = [n[:max((k + 1 for k, c in enumerate(n) if c), default=0)] for n in nums]
+    got = ratfuncs_over("t", nums, den)
+    want = [RatFunc(MultiPoly.univariate("t", n)) / MultiPoly.univariate("t", den) for n in nums]
+    assert got == want
+    assert list(map(str, got)) == list(map(str, want))
+    assert list(map(hash, got)) == list(map(hash, want))
 
 
 class TestRatFunc:

@@ -17,6 +17,7 @@ from asx.errors import (
 )
 from asx.linalg import Matrix
 from asx.oracles import named_scheme, scheme_from_relations
+from asx.poly import MultiPoly
 from asx.scalars import QuadraticNumber
 from asx.scheme import (
     FusionPartition,
@@ -123,6 +124,39 @@ def _random_array(rng: random.Random, d=None, dens=(1, 1, 2, 3, 7), top=9) -> Kr
     )
 
 
+def _univariate_array(rng: random.Random, d: int, top: int) -> KreinTridiagonal:
+    """A tridiagonal array whose entries are rationals and quotients p(t)/q(t),
+    p of degree <= 2 with signed coefficients up to ``top`` over 1, 2, 3
+    or 7, q of degree <= 1 with small integer coefficients: the ladder runs
+    it packed, since only t occurs."""
+
+    def poly(degree, bound, dens):
+        while True:
+            cs = [Fraction(rng.randint(-bound, bound), rng.choice(dens)) for _ in range(degree + 1)]
+            if any(cs):
+                return MultiPoly.univariate("t", cs)
+
+    def value(nonzero):
+        if rng.random() < 0.2:
+            return Fraction(rng.randint(1, top), rng.choice((1, 2, 3, 7))) * rng.choice((1, -1))
+        if not nonzero and rng.random() < 0.2:
+            return Fraction(0)
+        return poly(rng.randint(0, 2), top, (1, 2, 3, 7)) / poly(rng.randint(0, 1), 9, (1,))
+
+    return KreinTridiagonal(
+        d,
+        c=[1] + [value(True) for _ in range(d - 1)],
+        a=[value(False) for _ in range(d)],
+        b=[value(True) for _ in range(d)],
+    )
+
+
+UNIVARIATE_SPECS = {
+    f"univariate-{k}": (lambda k=k, top=top:
+                        _univariate_array(random.Random(200 + k), 2 + k % 4, top))
+    for k, top in enumerate((9, 10**12, 10**3, 10**12, 10**6, 10**12, 9, 10**12, 10**3, 10**12))
+}
+
 SQRT5 = QuadraticNumber(0, 1, 5)
 LADDER_ROUTE_SPECS = {
     "casev-symbolic": lambda: casev_spec(None).spec,
@@ -144,6 +178,7 @@ LADDER_ROUTE_SPECS = {
     # runs to hundreds of digits
     **{f"big-d{d}": (lambda d=d: _random_array(
         random.Random(100 + d), d, (1, 2, 3, *BIG_DENOMINATORS), 10**4)) for d in range(5, 11)},
+    **UNIVARIATE_SPECS,
 }
 
 
@@ -161,7 +196,8 @@ def test_ladder_matches_the_plain_recurrence(name):
 
 
 @pytest.mark.parametrize("name", ["H(3,3)", "casev-m5", "casev-symbolic", "free-b4", "free-b4-a3",
-                                  "Q(sqrt 5)", *(f"big-d{d}" for d in range(5, 11))])
+                                  "Q(sqrt 5)", *(f"big-d{d}" for d in range(5, 11)),
+                                  *(f"univariate-{k}" for k in (1, 2, 3, 4, 7))])
 def test_krein_column_is_the_ladder_column(name):
     spec = LADDER_ROUTE_SPECS[name]()
     mats = krein_ladder(spec).mats
@@ -169,6 +205,24 @@ def test_krein_column_is_the_ladder_column(name):
         got = krein_column(spec, i, k)
         assert got == mats[i].col(k)
         assert list(map(str, got)) == list(map(str, mats[i].col(k)))
+
+
+def test_one_variable_ladder_runs_on_packed_ints(monkeypatch):
+    # casev's entries are polynomials in m once cleared, so the recurrence
+    # runs on ints: the only MultiPoly products left build delta and the
+    # cleared entries (1,273 when the recurrence ran on RatFuncs)
+    spec = casev_spec(None).spec
+    products = 0
+    multiply = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    krein_ladder(spec)
+    assert products < 100
 
 
 def _hamming_intersection(d: int, q: int, i: int, j: int, k: int) -> int:
