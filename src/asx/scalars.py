@@ -17,23 +17,31 @@ from fractions import Fraction
 from functools import total_ordering
 from operator import mul
 
-from .errors import MixedScalars
+from .errors import InvalidParameter, MixedScalars
+
+
+#: The largest trial divisor :func:`square_free_split` tries.
+SPLIT_TRIAL_LIMIT = 1 << 20
 
 
 def square_free_split(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * f`` with ``f`` square-free; return ``(s, f)``.
 
     Trial division runs only while ``p**3 <= m`` for the unfactored part
-    ``m``.  Every prime left in ``m`` then exceeds its cube root, so ``m`` is
-    1, a prime, a prime square or a product of two primes, and ``isqrt``
-    tells the square apart: about ``n**(1/3)`` divisions instead of
-    ``n**(1/2)``.
+    ``m``, and ``p <= SPLIT_TRIAL_LIMIT``.  When the cube bound ends it,
+    every prime left in ``m`` exceeds its cube root, so ``m`` is 1, a
+    prime, a prime square or a product of two primes, and ``isqrt`` tells
+    the square apart: about ``n**(1/3)`` divisions instead of ``n**(1/2)``.
+    When the limit ends it, every prime left in ``m`` exceeds the limit, so
+    ``m`` is accepted only if it is a perfect square or below the cube of
+    the next trial divisor (then again at most two primes); otherwise its
+    split is unknown and InvalidParameter is raised.
     """
     if n <= 0:
         raise ValueError("square_free_split needs a positive integer")
     s, f, m = 1, 1, n
     p = 2
-    while p * p * p <= m:
+    while p * p * p <= m and p <= SPLIT_TRIAL_LIMIT:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -44,7 +52,16 @@ def square_free_split(n: int) -> tuple[int, int]:
                 f *= p
         p += 1 if p == 2 else 2
     r = math.isqrt(m)
-    return (s * r, f) if r * r == m else (s, f * m)
+    if r * r == m:
+        return s * r, f
+    if p * p * p <= m:  # stopped at the limit, so p > SPLIT_TRIAL_LIMIT
+        digits = int(math.log10(n)) + 1
+        raise InvalidParameter(
+            f"cannot split a radicand of about {digits} digits into square and "
+            f"square-free parts: trial division to {SPLIT_TRIAL_LIMIT} leaves a "
+            "cofactor that may have three or more prime factors"
+        )
+    return s, f * m
 
 
 def exact_sqrt(x: Fraction | int) -> "Fraction | QuadraticNumber":

@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asx import casev
 from asx.casev import (
@@ -19,7 +22,9 @@ from asx.casev import (
     fusion_pipeline,
     reject_case_v,
     reported_fused_krein,
+    SCREEN_GROUPS,
     SCREEN_MODULI,
+    SEARCH_BLOCK,
     SECOND_SCREEN_MODULI,
     search_m,
     square_screen,
@@ -240,6 +245,18 @@ class TestFusionPipeline:
         assert fusion_pipeline(5).matches_expected_s
 
 
+@cache
+def _plain_hits():
+    """The unscreened loop's hits for m up to three search blocks and 5."""
+    hits = []
+    for m in range(1, 3 * SEARCH_BLOCK + 6):
+        value = (m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1)
+        r = math.isqrt(value)
+        if r * r == value and (m * (7 * m * m - 22 * m + 7)) % r == 0:
+            hits.append(m)
+    return hits
+
+
 class TestSearch:
     def test_first_hundred(self):
         assert search_m(100) == [1, 5]
@@ -264,21 +281,25 @@ class TestSearch:
             search_m(MAX_SEARCH + 1)
 
     def test_residue_screen_rejects_only_non_squares(self):
-        # the tables only skip isqrt: every m that either stage rejects has a
-        # non-square (m^2-2m+9)(9m^2-2m+1), so no survivor can be lost
-        stages = [[(q, square_screen(q)) for q in moduli]
-                  for moduli in (SCREEN_MODULI, SECOND_SCREEN_MODULI)]
-        rejected, plain = [0, 0], []
+        # the tables only skip isqrt: every m that any group the sieve ANDs
+        # rejects has a non-square (m^2-2m+9)(9m^2-2m+1), so no survivor can
+        # be lost
+        assert SCREEN_GROUPS[:2] == (SCREEN_MODULI, SECOND_SCREEN_MODULI)
+        groups = [[(q, square_screen(q)) for q in moduli] for moduli in SCREEN_GROUPS]
+        rejected, plain = [0] * len(groups), []
         for m in range(1, 10**4 + 1):
             value = (m * m - 2 * m + 9) * (9 * m * m - 2 * m + 1)
             r = math.isqrt(value)
             if r * r == value and (m * (7 * m * m - 22 * m + 7)) % r == 0:
                 plain.append(m)
-            for n, tables in enumerate(stages):
+            for n, tables in enumerate(groups):
                 if not all(t[m % q] for q, t in tables):
                     rejected[n] += 1
                     assert r * r != value, (m, n)
-        # about 89% of m are screened out by the first stage, 83% by the second
+        # every group admits both survivors
+        for tables in groups:
+            assert all(t[m % q] for q, t in tables for m in (1, 5))
+        # about 89% of m are screened out by the first group, 83% by the second
         assert rejected[0] > 8000 and rejected[1] > 8000
         assert search_m(10**4) == plain == [1, 5]
 
@@ -290,6 +311,39 @@ class TestSearch:
             if r * r == value and (m * (7 * m * m - 22 * m + 7)) % r == 0:
                 plain.append(m)
         assert search_m(10**5) == plain
+
+    @pytest.mark.parametrize(
+        "n", [SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1, 3 * SEARCH_BLOCK + 5]
+    )
+    def test_search_at_block_edges(self, n, monkeypatch):
+        assert search_m(n) == [m for m in _plain_hits() if m <= n]
+        # isqrt runs on exactly the m that every group admits, across the
+        # block boundaries too
+        tables = [(q, square_screen(q)) for moduli in SCREEN_GROUPS for q in moduli]
+        admitted = [m for m in range(1, n + 1) if all(t[m % q] for q, t in tables)]
+        visited = []
+        value = casev._delta_squared
+        monkeypatch.setattr(casev, "_delta_squared", lambda m: visited.append(m) or value(m))
+        search_m(n)
+        assert visited == admitted
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3 * SEARCH_BLOCK + 5))
+    def test_search_matches_the_plain_loop_up_to_three_blocks(self, n):
+        assert search_m(n) == [m for m in _plain_hits() if m <= n]
+
+    def test_working_memory_is_a_block_not_the_bound(self):
+        # the sieve allocates a few blocks' bytes, never bytes(max_m): after
+        # a warm-up call has built the masks, a search of 10^7 m peaks
+        # below 1 MB
+        search_m(10)
+        tracemalloc.start()
+        try:
+            assert search_m(10**7) == [1, 5]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_no_modulus_64_screen(self):
         # the value is a square mod 64 for every m, so 64 would reject nothing

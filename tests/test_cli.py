@@ -225,6 +225,33 @@ class TestCheck:
             "1/2*x^6 - 149/12*x^4 - 137/6*x^3 - 335/4*x^2 + 331/6*x - 72\n"
         )
 
+    def test_huge_discriminant_is_an_input_error_in_bounded_time(self, tmp_path, capsys):
+        # The annihilator's quadratic factor has a discriminant near 10^80
+        # with no prime factor below the trial-division limit, so its
+        # square-free part is unknown: exit 2 with the radicand's size, not
+        # a division to its cube root.  SIGALRM fails the test after 5 s.
+        p = tmp_path / "huge-discriminant.params"
+        p.write_text(
+            "format: asx-params v1\nd: 2\nfield: Q\nc: 1 1\n"
+            "a: -10000000000000000000000000000000000000005 2\n"
+            "b: 3 10000000000000000000000000000000000000007\n"
+        )
+
+        def too_slow(signum, frame):
+            raise TimeoutError("check on a discriminant near 10^80 took more than 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            code = run(["check", str(p)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot split a radicand of about 81 digits"), err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, message",
         [

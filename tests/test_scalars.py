@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asx.errors import MixedScalars
+from asx.errors import InvalidParameter, MixedScalars
 from asx.scalars import (
+    SPLIT_TRIAL_LIMIT,
     QuadraticNumber,
     exact_sqrt,
     square_free_split,
@@ -71,6 +72,35 @@ def test_square_free_split_of_a_large_semiprime_is_fast():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert splits == {(1, n)}
+
+
+# primes just past the trial-division limit (2^20 + 7 and 2^20 + 13) and
+# past its square (2^61 - 1)
+_P, _Q, _BIG = 2**20 + 7, 2**20 + 13, 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (_BIG**2, (_BIG, 1)),  # a prime square past the limit cubed
+        (12 * _BIG**2, (2 * _BIG, 3)),
+        (_P**4 * 5, (_P**2, 5)),  # a square cofactor of four primes
+        (_P * _Q * 6, (1, 6 * _P * _Q)),  # below the next trial divisor cubed
+        (2**70, (2**35, 1)),  # the small factors are found first
+    ],
+)
+def test_square_free_split_past_the_trial_limit(n, expected):
+    assert _P > SPLIT_TRIAL_LIMIT and _P * _Q < SPLIT_TRIAL_LIMIT**3
+    assert square_free_split(n) == expected
+
+
+@pytest.mark.parametrize("n", [_P * _Q * _BIG, _BIG * (2**89 - 1), _P**3, 10**40 + 7])
+def test_square_free_split_refuses_an_unknown_cofactor(n):
+    # past the limit, a cofactor that is neither a square nor below the
+    # next trial divisor cubed might have three prime factors or a square
+    # one: InvalidParameter names its size instead of dividing on
+    with pytest.raises(InvalidParameter, match="cannot split a radicand of about"):
+        square_free_split(n)
 
 
 def test_exact_sqrt():
