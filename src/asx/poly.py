@@ -33,7 +33,10 @@ pass per degree, over divisor lists computed once per pass.
 Polynomials in one variable also travel as dense integer coefficient lists,
 packed into one int as their value at 2^K (Kronecker substitution), so that
 int arithmetic does their ring arithmetic; :func:`ratfuncs_over` turns
-quotients of such lists into RatFuncs in normal form.
+quotients of such lists into RatFuncs in normal form.  Polynomials in
+several variables travel as :class:`PackedPoly` maps, each exponent vector
+packed into one int with a fixed bit field per variable (Monagan & Pearce,
+CASC 2007), so that a product of monomials is one int addition.
 """
 
 from __future__ import annotations
@@ -932,20 +935,22 @@ def roots_low_degree(p: MultiPoly) -> list:
     return out
 
 
-# -- one-variable polynomials packed into integers -------------------------------
+# -- polynomials packed into integers ------------------------------------------
 
 
-def coefficient_lists(values):
-    """``(name, lists)`` when the values are polynomials in the one variable
-    ``name`` (MultiPolys, RatFuncs with constant denominator, rationals):
-    their dense integer coefficient lists, lowest power first, scaled by
-    one common denominator.  None otherwise."""
+def integer_terms(values):
+    """``(names, maps)`` when the values are polynomials (MultiPolys,
+    RatFuncs with constant denominator, rationals): the sorted names of
+    all their variables, and each value's term map over ``names``, scaled
+    by one common denominator so that every coefficient is an int.  None
+    otherwise."""
     polys = [x.num if isinstance(x, RatFunc) and x.is_polynomial() else MultiPoly._coerce(x)
              for x in values]
-    if None in polys or len(names := {v for p in polys for v in p.vars}) != 1:
+    if None in polys:
         return None
+    names = tuple(sorted({v for p in polys for v in p.vars}))
     den = lcm(*(p.den for p in polys))
-    return names.pop(), [[c * (den // p.den) for c in _int_coeffs(p)] for p in polys]
+    return names, [{e: c * (den // p.den) for e, c in p._embed(names).items()} for p in polys]
 
 
 def kronecker_pack(coeffs: list[int], width: int) -> int:
@@ -968,6 +973,60 @@ def kronecker_unpack(x: int, width: int) -> list[int]:
         digits.append(r)
         x = (x - r) >> width
     return digits
+
+
+class PackedPoly(dict):
+    """A polynomial in several variables as a sparse map from packed
+    exponent vectors to nonzero int coefficients (Monagan & Pearce, CASC
+    2007): one int per exponent vector, one bit field of a fixed width per
+    variable.  A product adds the packed exponents and multiplies the
+    coefficients, which is exact while every exponent of the result stays
+    below 2^width: no field then carries into the next.  The empty map is
+    0.  Values are never changed in place."""
+
+    __slots__ = ()
+
+    def _plus(self, other, sign: int) -> "PackedPoly":
+        if not other:
+            return self
+        out = PackedPoly(self)
+        for e, c in other.items():
+            if s := out.get(e, 0) + sign * c:
+                out[e] = s
+            else:
+                del out[e]
+        return out
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __mul__(self, other):
+        out = PackedPoly()
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        if not all(out.values()):
+            return PackedPoly((e, c) for e, c in out.items() if c)
+        return out
+
+
+def monomial_pack(terms: dict, width: int) -> PackedPoly:
+    """The term map ``terms`` (exponent tuples to ints) with each exponent
+    tuple packed into one int, ``width`` bits per variable, the first
+    variable lowest."""
+    return PackedPoly((sum(k << (width * v) for v, k in enumerate(e)), c)
+                      for e, c in terms.items())
+
+
+def monomial_unpack(packed: dict, names: tuple, width: int) -> MultiPoly:
+    """The polynomial over ``names`` whose terms :func:`monomial_pack`
+    packed, when every exponent is below ``2^width``."""
+    mask, shifts = (1 << width) - 1, [width * v for v in range(len(names))]
+    return MultiPoly(names, {tuple(e >> s & mask for s in shifts): c for e, c in packed.items()})
 
 
 def _signed_content(xs: list[int]) -> tuple[int, list[int]]:

@@ -12,7 +12,8 @@ Everything here works on exact scalars.  The central objects:
   once (ints over Q, polynomials over Q(x1, ..., xk)), three rows of one
   level per row of the next, O(d^3), and divides each level once.
   Polynomials in one variable x run as ints too, each packed as its value
-  at x = 2^K for a K wide enough to read every coefficient back;
+  at x = 2^K for a K wide enough to read every coefficient back; in
+  several variables as sparse maps from packed exponent vectors to ints.
   :func:`krein_column` runs it on one column, :func:`value_sequence` at a
   number or a polynomial variable.
 * :class:`SchemeParams` -- eigenmatrices ``P``/``Q``, valencies,
@@ -49,9 +50,12 @@ from .linalg import Matrix
 from .poly import (
     MultiPoly,
     RatFunc,
-    coefficient_lists,
+    PackedPoly,
+    integer_terms,
     kronecker_pack,
     kronecker_unpack,
+    monomial_pack,
+    monomial_unpack,
     ratfuncs_over,
     roots_low_degree,
 )
@@ -308,22 +312,34 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
     so row j of ``delta B1* P_i`` combines rows j-1, j and j+1 of ``P_i``:
     four products per entry, not d + 1.
 
-    When the cleared entries are polynomials in one variable x, they are
-    scaled by the common denominator of their coefficients and each is
-    packed as the int p(2^K) (Kronecker substitution), so the same int
-    recurrence runs as over Q, and ``packing`` is ``(x, K)`` (else None).
-    Evaluation at 2^K is a ring map, so a packed ``P_i`` holds the values
-    of the polynomial ``P_i`` there.  Width: let S = B + 2A + C + BC with
-    A, B, C the largest coefficient 1-norm of a scaled a*, b*, c*.  An entry
-    of ``P(i+1)`` adds four products whose 1-norms are at most B N_i,
+    The cleared polynomial entries are scaled by the common denominator of
+    their coefficients, and ``packing`` is ``(names, width)`` (else None),
+    with ``names`` the sorted names of their variables.
+
+    In one variable x each entry is packed as the int p(2^K) (Kronecker
+    substitution), so the same int recurrence runs as over Q, and width is
+    K.  Evaluation at 2^K is a ring map, so a packed ``P_i`` holds the
+    values of the polynomial ``P_i`` there.  Width: let S = B + 2A + C + BC
+    with A, B, C the largest coefficient 1-norm of a scaled a*, b*, c*.  An
+    entry of ``P(i+1)`` adds four products whose 1-norms are at most B N_i,
     2A N_i, C N_i and BC N(i-1), with N_i the largest 1-norm in ``P_i``;
     N_0 = 1 and N(-1) = 0, so N_i <= S^i by induction, and the divisor's
     1-norm is at most C^i <= S^i.  Every coefficient up to level d is thus
     below S^d < 2^(d bitlen(S)), and K = d bitlen(S) + 2 makes each a
     balanced base-2^K digit, read back exactly by :func:`_divided`.
+
+    In several variables (or none) each entry is a :class:`PackedPoly`, a
+    sparse map from exponent vectors packed into one int, ``width`` bits
+    per variable, to int coefficients.  Width: let D be the largest
+    exponent of any variable in the scaled a*, b*, c*.  The steps to
+    ``P(i+1)`` multiply by entries of a*, b*, c* and by the coupling
+    b(i-1)* ci* of exponent at most 2D, so by induction every exponent in
+    ``P_i`` and in its divisor is at most i D <= d D < 2^width with
+    width = bitlen(d D): no sum of packed exponents carries into the next
+    field.
     """
     d, c, a, b = spec.d, spec.c, spec.a, spec.b
-    ints, packing = None, None
+    entries, packing, zero, one = None, None, 0, 1
     parts = integer_parts(c + a + b)
     if parts is None:  # over Q(x1, ..., xk)
         delta = Fraction(1)
@@ -334,28 +350,37 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
                 delta *= RatFunc((delta * x).den)
         if delta != 1:
             c, a, b = ([delta * x for x in xs] for xs in (c, a, b))
-        if packed := coefficient_lists(c + a + b):
-            name, lists = packed
-            norms = [sum(map(abs, p)) for p in lists]
-            nc, na, nb = (max(norms[k:k + d]) for k in (0, d, 2 * d))
-            width = d * (nb + 2 * na + nc + nb * nc).bit_length() + 2
-            ints, packing = [kronecker_pack(p, width) for p in lists], (name, width)
+        if polys := integer_terms(c + a + b):
+            names, terms = polys
+            if len(names) == 1:
+                lists = [[t.get((k,), 0) for k in range(max(t, default=(-1,))[0] + 1)]
+                         for t in terms]
+                norms = [sum(map(abs, p)) for p in lists]
+                nc, na, nb = (max(norms[k:k + d]) for k in (0, d, 2 * d))
+                width = d * (nb + 2 * na + nc + nb * nc).bit_length() + 2
+                entries = [kronecker_pack(p, width) for p in lists]
+            else:
+                width = (d * max((k for t in terms for e in t for k in e), default=0)).bit_length()
+                entries = [monomial_pack(t, width) for t in terms]
+                zero, one = PackedPoly(), PackedPoly({0: 1})
+                start = [[one if x else zero for x in r] for r in start]
+            packing = names, width
     elif not parts[3]:  # over Q: int numerators over one delta
-        ints = parts[0]
-    if ints is not None:
-        c, a, b = ints[:d], ints[d:2 * d], ints[2 * d:]
+        entries = parts[0]
+    if entries is not None:
+        c, a, b = entries[:d], entries[d:2 * d], entries[2 * d:]
     # row j of delta B1* is lo[j], mid[j], hi[j] at columns j-1, j, j+1;
-    # step i shifts by mid[i] (0 before P_1)
-    lo, mid, hi = (0, *b), (0, *a), (*c, 0)
-    coupling = (0, *(x * y for x, y in zip(b, c)))
-    zero = [0] * len(start[0])
-    prev, cur, div = [zero] * (d + 1), start, 1
+    # step i shifts by mid[i] (zero before P_1)
+    lo, mid, hi = (zero, *b), (zero, *a), (*c, zero)
+    coupling = (zero, *(x * y for x, y in zip(b, c)))
+    blank = [zero] * len(start[0])
+    prev, cur, div = [blank] * (d + 1), start, one
     for i in range(d):
         g, nxt = coupling[i], []
         for j in range(d + 1):
             l, s, h = lo[j], mid[j] - mid[i], hi[j]
-            up = cur[j - 1] if j else zero
-            down = cur[j + 1] if j < d else zero
+            up = cur[j - 1] if j else blank
+            down = cur[j + 1] if j < d else blank
             nxt.append([l * u + s * x + h * w - g * y
                         for u, x, w, y in zip(up, cur[j], down, prev[j])])
         prev, cur = cur, nxt
@@ -365,13 +390,19 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
 
 def _divided(p: list, div, packing) -> Matrix:
     """The matrix ``p / div``: one Fraction per entry for int rows; for
-    packed rows each entry and ``div`` are unpacked once, into coefficient
-    lists, and each quotient is built from those lists."""
+    packed rows each entry and ``div`` are unpacked once, and each quotient
+    is a RatFunc in normal form, built from coefficient lists in one
+    variable (:func:`ratfuncs_over`) and from MultiPolys in several."""
     if packing is not None:
-        name, width = packing
+        names, width = packing
+        flat = [x for r in p for x in r]
+        if len(names) == 1:
+            flat = ratfuncs_over(names[0], [kronecker_unpack(x, width) for x in flat],
+                                 kronecker_unpack(div, width))
+        else:
+            den = monomial_unpack(div, names, width)
+            flat = [RatFunc(monomial_unpack(x, names, width), den) for x in flat]
         n = len(p[0])
-        flat = ratfuncs_over(name, [kronecker_unpack(x, width) for r in p for x in r],
-                             kronecker_unpack(div, width))
         return Matrix([flat[k:k + n] for k in range(0, len(flat), n)])
     if isinstance(div, int):
         return Matrix([[Fraction(x, div) for x in r] for r in p])
@@ -387,7 +418,8 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
     three-term recurrence of ``B1*`` run at ``B1*``; the tensor is read off
     as ``q^k_ij = Bi*[j, k]``.  The recurrence runs on cleared numerators
     (see :func:`_cleared_levels`), O(d^3) in all, on ints over Q and over
-    Q(x) with one variable x, and each level is divided once.
+    Q(x) with one variable x, on packed exponent vectors over Q(x1, ...,
+    xk), and each level is divided once.
     """
     n = spec.d + 1
     start = [[int(j == k) for k in range(n)] for j in range(n)]

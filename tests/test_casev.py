@@ -280,6 +280,14 @@ class TestSearch:
         with pytest.raises(InvalidParameter):
             search_m(MAX_SEARCH + 1)
 
+    def test_bound_at_the_limit(self, monkeypatch):
+        # the limit itself is a valid bound and the next integer is not; a
+        # small limit keeps the search short
+        monkeypatch.setattr(casev, "MAX_SEARCH", 1000)
+        assert search_m(casev.MAX_SEARCH) == [1, 5]
+        with pytest.raises(InvalidParameter, match="must be <= 1000, got 1001"):
+            search_m(casev.MAX_SEARCH + 1)
+
     def test_residue_screen_rejects_only_non_squares(self):
         # the tables only skip isqrt: every m that any group the sieve ANDs
         # rejects has a non-square (m^2-2m+9)(9m^2-2m+1), so no survivor can

@@ -13,8 +13,11 @@ from asx.poly import (
     MultiPoly,
     RatFunc,
     factor_low_degree,
+    integer_terms,
     kronecker_pack,
     kronecker_unpack,
+    monomial_pack,
+    monomial_unpack,
     poly_exact_div,
     poly_gcd,
     ratfuncs_over,
@@ -191,6 +194,21 @@ def test_kronecker_unpack_inverts_pack(coeffs, extra):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     assert kronecker_unpack(kronecker_pack(coeffs, width), width) == coeffs
+
+
+monomials3 = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), max_size=5)
+
+
+@given(monomials3, monomials3)
+def test_packed_poly_is_the_polynomial_ring(f, g):
+    # with 3 bits per variable no exponent of a product (at most 6) carries
+    f, g = (MultiPoly(("u", "v", "w"), t) for t in (f, g))
+    names, (tf, tg) = integer_terms([f, g])
+    pf, pg = (monomial_pack(t, 3) for t in (tf, tg))
+    assert monomial_unpack(pf, names, 3) == f
+    assert monomial_unpack(pf * pg, names, 3) == f * g
+    assert monomial_unpack(pf + pg, names, 3) == f + g
+    assert monomial_unpack(pf - pg, names, 3) == f - g
 
 
 @given(st.lists(st.lists(st.integers(-50, 50), max_size=4), min_size=1, max_size=4),

@@ -6,18 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from asx.casev import _free_tridiagonal, casev_spec
+from asx.casev import CASE_V_ORDERING, _free_tridiagonal, casev_spec
 from asx.errors import (
     InconsistentEigenmatrices,
     InvalidPartition,
     InvariantViolation,
+    MixedScalars,
     RepeatedEigenvalue,
     UnsupportedAlgebraicDegree,
     WellDefinednessViolation,
 )
 from asx.linalg import Matrix
 from asx.oracles import named_scheme, scheme_from_relations
-from asx.poly import MultiPoly
+from asx.poly import MultiPoly, RatFunc
 from asx.scalars import QuadraticNumber
 from asx.scheme import (
     FusionPartition,
@@ -157,6 +158,47 @@ UNIVARIATE_SPECS = {
     for k, top in enumerate((9, 10**12, 10**3, 10**12, 10**6, 10**12, 9, 10**12, 10**3, 10**12))
 }
 
+def _several_variable_array(rng: random.Random, d: int, names: tuple) -> KreinTridiagonal:
+    """A tridiagonal array in the variables ``names``: rationals, and
+    polynomials of total degree <= 2 with signed coefficients over 1, 2, 3
+    or 7, now and then divided by a linear polynomial.  b0* is the sum of
+    the variables plus a constant, so every variable occurs and the ladder
+    runs on packed exponent vectors."""
+    xs = [MultiPoly.var(v) for v in names]
+    monomials = [MultiPoly.one(), *xs, *(x * y for x, y in itertools.combinations_with_replacement(xs, 2))]
+
+    def number(nonzero):
+        while True:
+            q = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            if q or not nonzero:
+                return q
+
+    def poly(pool):
+        while True:
+            p = sum((number(True) * t for t in rng.sample(pool, rng.randint(1, 2))), MultiPoly.zero())
+            if p:
+                return p
+
+    def value(nonzero):
+        if rng.random() < 0.2:
+            return number(nonzero)
+        p = RatFunc(poly(monomials))
+        return p / poly(monomials[:len(names) + 1]) if rng.random() < 0.15 else p
+
+    return KreinTridiagonal(
+        d,
+        c=[1] + [value(True) for _ in range(d - 1)],
+        a=[value(False) for _ in range(d)],
+        b=[sum(xs, RatFunc.const(number(False)))] + [value(True) for _ in range(d - 1)],
+    )
+
+
+SEVERAL_VARIABLE_SPECS = {
+    f"several-{k}": (lambda k=k: _several_variable_array(
+        random.Random(500 + k), 2 + k % 4, ("u", "v", "w", "x")[:2 + k % 3]))
+    for k in range(12)
+}
+
 SQRT5 = QuadraticNumber(0, 1, 5)
 LADDER_ROUTE_SPECS = {
     "casev-symbolic": lambda: casev_spec(None).spec,
@@ -167,6 +209,9 @@ LADDER_ROUTE_SPECS = {
        for m in (Fraction(3, 2), 2, 3, 5, 7)},
     **{f"H({d},{q})": (lambda d=d, q=q: hamming(d, q)) for d in range(1, 7) for q in (2, 3, 4)},
     "pentagon": lambda: C5,
+    "constant RatFuncs": lambda: KreinTridiagonal(
+        2, c=[1, RatFunc.const(Fraction(2, 3))], a=[0, RatFunc.const(1)], b=[RatFunc.const(3), 1]
+    ),
     "Q(sqrt 5)": lambda: KreinTridiagonal(
         3, c=[1, (1 + SQRT5) / 2, SQRT5], a=[SQRT5 - 1, 0, Fraction(1, 3)], b=[2, -SQRT5, 3]
     ),
@@ -179,6 +224,7 @@ LADDER_ROUTE_SPECS = {
     **{f"big-d{d}": (lambda d=d: _random_array(
         random.Random(100 + d), d, (1, 2, 3, *BIG_DENOMINATORS), 10**4)) for d in range(5, 11)},
     **UNIVARIATE_SPECS,
+    **SEVERAL_VARIABLE_SPECS,
 }
 
 
@@ -193,11 +239,13 @@ def test_ladder_matches_the_plain_recurrence(name):
     assert list(got) == plain
     for g, p in zip(got, plain):
         assert [list(map(str, r)) for r in g.rows] == [list(map(str, r)) for r in p.rows]
+        assert [list(map(hash, r)) for r in g.rows] == [list(map(hash, r)) for r in p.rows]
 
 
 @pytest.mark.parametrize("name", ["H(3,3)", "casev-m5", "casev-symbolic", "free-b4", "free-b4-a3",
                                   "Q(sqrt 5)", *(f"big-d{d}" for d in range(5, 11)),
-                                  *(f"univariate-{k}" for k in (1, 2, 3, 4, 7))])
+                                  *(f"univariate-{k}" for k in (1, 2, 3, 4, 7)),
+                                  *(f"several-{k}" for k in (0, 1, 5, 10))])
 def test_krein_column_is_the_ladder_column(name):
     spec = LADDER_ROUTE_SPECS[name]()
     mats = krein_ladder(spec).mats
@@ -205,6 +253,35 @@ def test_krein_column_is_the_ladder_column(name):
         got = krein_column(spec, i, k)
         assert got == mats[i].col(k)
         assert list(map(str, got)) == list(map(str, mats[i].col(k)))
+
+
+# One-variable arrays whose packed coefficients come within a few bits of
+# the Kronecker width, most with every coefficient of one sign so that the
+# 1-norm bound is nearly attained: a width any narrower in b*, a*, c*, the
+# coupling b*c* or the final + 2 reads some coefficient back wrong.  Each
+# entry is a coefficient list in t, lowest power first.
+NEAR_WIDTH_ARRAYS = {
+    "wide b*": ([[1], [0, 2]], [[0, 1], [1, 2]], [[0, 2**30], [2]]),
+    "wide a*": ([[1], [0, 1], [1], [1]], [[0], [0], [1, 2**30 - 1], [1, 2**30 + 1]],
+                [[0, 1, 2], [1, 0, 2**30], [1, 1], [1, 1, 1]]),
+    "wide a*, mixed signs": (
+        [[1], [0, -1], [0, -1], [-1, -1], [0, -1]],
+        [[-1, 0, 1 - 2**37], [1 - 2**37], [-1 - 2**37], [-1, -2**37], [0, 2**37]],
+        [[-1, 0, -1], [-1, -1, -1], [1], [-1, -1], [0, -1]]),
+    "d = 1, small": ([[1]], [[0]], [[2, 1]]),
+    "wide coupling": ([[1]], [[1, 1, 2]], [[2**24 + 1, 1]]),
+    "wide c*": ([[1], [1 - 2**24], [0, 2**24 - 1], [-1]], [[-1, -1], [1, 1], [0, -1], [1]],
+                [[0, 1], [-1], [-1], [-1]]),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_WIDTH_ARRAYS)
+def test_kronecker_width_holds_near_its_bound(name):
+    c, a, b = ([RatFunc(MultiPoly.univariate("t", p)) for p in xs] for xs in NEAR_WIDTH_ARRAYS[name])
+    spec = KreinTridiagonal(len(c), c, a, b)
+    plain = itertools.islice(value_sequence(spec, spec.first_matrix()), 1, spec.d + 1)
+    for got, want in zip(krein_ladder(spec).mats[1:], plain):
+        assert [list(map(str, r)) for r in got.rows] == [list(map(str, r)) for r in want.rows]
 
 
 def test_one_variable_ladder_runs_on_packed_ints(monkeypatch):
@@ -223,6 +300,39 @@ def test_one_variable_ladder_runs_on_packed_ints(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     krein_ladder(spec)
     assert products < 100
+
+
+def test_ladder_refuses_a_symbol_with_a_square_root():
+    # Q(sqrt D)(x1, ..., xk) is not supported, with or without a
+    # polynomial denominator to clear
+    u = RatFunc.var("u")
+    for c2 in (u + 1, 1 / (u + 1)):
+        spec = KreinTridiagonal(2, c=[1, c2], a=[0, SQRT5], b=[u, 1])
+        with pytest.raises(MixedScalars):
+            krein_ladder(spec)
+
+
+def test_several_variable_ladder_runs_on_packed_exponents(monkeypatch):
+    # the four Krein columns of derive_section32's steps 1-4 are polynomials
+    # in up to ten unknowns once cleared, so the recurrence runs on packed
+    # exponent vectors: RatFunc sums are left only in building delta and in
+    # the final quotients (359 when the recurrence ran on RatFuncs)
+    sig = CASE_V_ORDERING
+    columns = [(_free_tridiagonal(), 2, 5), (_free_tridiagonal({"b4": 1}), sig(1), sig(1)),
+               (_free_tridiagonal({"b4": 1}), sig(1), sig(4)),
+               (_free_tridiagonal({"b4": 1, "a3": 0}), sig(1), sig(1))]
+    sums = 0
+    add = RatFunc.__add__
+
+    def counted(self, other):
+        nonlocal sums
+        sums += 1
+        return add(self, other)
+
+    monkeypatch.setattr(RatFunc, "__add__", counted)
+    for spec, i, k in columns:
+        krein_column(spec, i, k)
+    assert sums < 20
 
 
 def _hamming_intersection(d: int, q: int, i: int, j: int, k: int) -> int:
