@@ -158,6 +158,7 @@ UNIVARIATE_SPECS = {
     for k, top in enumerate((9, 10**12, 10**3, 10**12, 10**6, 10**12, 9, 10**12, 10**3, 10**12))
 }
 
+
 def _several_variable_array(rng: random.Random, d: int, names: tuple) -> KreinTridiagonal:
     """A tridiagonal array in the variables ``names``: rationals, and
     polynomials of total degree <= 2 with signed coefficients over 1, 2, 3
@@ -199,6 +200,33 @@ SEVERAL_VARIABLE_SPECS = {
     for k in range(12)
 }
 
+# One-variable arrays whose packed coefficients come within a few bits of
+# the Kronecker width, most with every coefficient of one sign so that the
+# 1-norm bound is nearly attained: a width any narrower in b*, a*, c*, the
+# coupling b*c* or the final + 2 reads some coefficient back wrong.  Each
+# entry is a coefficient list in t, lowest power first.
+NEAR_WIDTH_ARRAYS = {
+    "wide b*": ([[1], [0, 2]], [[0, 1], [1, 2]], [[0, 2**30], [2]]),
+    "wide a*": ([[1], [0, 1], [1], [1]], [[0], [0], [1, 2**30 - 1], [1, 2**30 + 1]],
+                [[0, 1, 2], [1, 0, 2**30], [1, 1], [1, 1, 1]]),
+    "wide a*, mixed signs": (
+        [[1], [0, -1], [0, -1], [-1, -1], [0, -1]],
+        [[-1, 0, 1 - 2**37], [1 - 2**37], [-1 - 2**37], [-1, -2**37], [0, 2**37]],
+        [[-1, 0, -1], [-1, -1, -1], [1], [-1, -1], [0, -1]]),
+    "d = 1, small": ([[1]], [[0]], [[2, 1]]),
+    "wide coupling": ([[1]], [[1, 1, 2]], [[2**24 + 1, 1]]),
+    "wide c*": ([[1], [1 - 2**24], [0, 2**24 - 1], [-1]], [[-1, -1], [1, 1], [0, -1], [1]],
+                [[0, 1], [-1], [-1], [-1]]),
+}
+
+
+def _coefficient_array(c, a, b) -> KreinTridiagonal:
+    """The array whose entries are the polynomials in t with the integer
+    coefficient lists ``c``, ``a``, ``b`` (lowest power first)."""
+    c, a, b = ([RatFunc(MultiPoly.univariate("t", p)) for p in xs] for xs in (c, a, b))
+    return KreinTridiagonal(len(c), c, a, b)
+
+
 SQRT5 = QuadraticNumber(0, 1, 5)
 LADDER_ROUTE_SPECS = {
     "casev-symbolic": lambda: casev_spec(None).spec,
@@ -225,6 +253,8 @@ LADDER_ROUTE_SPECS = {
         random.Random(100 + d), d, (1, 2, 3, *BIG_DENOMINATORS), 10**4)) for d in range(5, 11)},
     **UNIVARIATE_SPECS,
     **SEVERAL_VARIABLE_SPECS,
+    **{f"near-width {name}": (lambda name=name: _coefficient_array(*NEAR_WIDTH_ARRAYS[name]))
+       for name in NEAR_WIDTH_ARRAYS},
 }
 
 
@@ -253,35 +283,6 @@ def test_krein_column_is_the_ladder_column(name):
         got = krein_column(spec, i, k)
         assert got == mats[i].col(k)
         assert list(map(str, got)) == list(map(str, mats[i].col(k)))
-
-
-# One-variable arrays whose packed coefficients come within a few bits of
-# the Kronecker width, most with every coefficient of one sign so that the
-# 1-norm bound is nearly attained: a width any narrower in b*, a*, c*, the
-# coupling b*c* or the final + 2 reads some coefficient back wrong.  Each
-# entry is a coefficient list in t, lowest power first.
-NEAR_WIDTH_ARRAYS = {
-    "wide b*": ([[1], [0, 2]], [[0, 1], [1, 2]], [[0, 2**30], [2]]),
-    "wide a*": ([[1], [0, 1], [1], [1]], [[0], [0], [1, 2**30 - 1], [1, 2**30 + 1]],
-                [[0, 1, 2], [1, 0, 2**30], [1, 1], [1, 1, 1]]),
-    "wide a*, mixed signs": (
-        [[1], [0, -1], [0, -1], [-1, -1], [0, -1]],
-        [[-1, 0, 1 - 2**37], [1 - 2**37], [-1 - 2**37], [-1, -2**37], [0, 2**37]],
-        [[-1, 0, -1], [-1, -1, -1], [1], [-1, -1], [0, -1]]),
-    "d = 1, small": ([[1]], [[0]], [[2, 1]]),
-    "wide coupling": ([[1]], [[1, 1, 2]], [[2**24 + 1, 1]]),
-    "wide c*": ([[1], [1 - 2**24], [0, 2**24 - 1], [-1]], [[-1, -1], [1, 1], [0, -1], [1]],
-                [[0, 1], [-1], [-1], [-1]]),
-}
-
-
-@pytest.mark.parametrize("name", NEAR_WIDTH_ARRAYS)
-def test_kronecker_width_holds_near_its_bound(name):
-    c, a, b = ([RatFunc(MultiPoly.univariate("t", p)) for p in xs] for xs in NEAR_WIDTH_ARRAYS[name])
-    spec = KreinTridiagonal(len(c), c, a, b)
-    plain = itertools.islice(value_sequence(spec, spec.first_matrix()), 1, spec.d + 1)
-    for got, want in zip(krein_ladder(spec).mats[1:], plain):
-        assert [list(map(str, r)) for r in got.rows] == [list(map(str, r)) for r in want.rows]
 
 
 def test_one_variable_ladder_runs_on_packed_ints(monkeypatch):
