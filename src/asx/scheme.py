@@ -10,7 +10,10 @@ Everything here works on exact scalars.  The central objects:
   the three-term recurrence evaluated at ``B1*``.  The ladder runs the
   recurrence in monic form on rows with the array's denominators cleared
   once (ints over Q, polynomials over Q(x1, ..., xk)), three rows of one
-  level per row of the next, O(d^3), and divides each level once.
+  level per row of the next, O(d^3).  The tensor keeps these cleared
+  levels: which entries vanish, their signs and the column sums are read
+  from the numerators, and a level is divided only when its values are
+  asked for.
   Polynomials in one variable x run as ints too, each packed as its value
   at x = 2^K for a K wide enough to read every coefficient back; in
   several variables as sparse maps from packed exponent vectors to ints.
@@ -141,25 +144,63 @@ class KreinTridiagonal:
 class KreinTensor:
     """Structure constants ``x^k_ij`` stored as the matrices ``B0..Bd`` (``x^k_ij``
     is the ``(j, k)`` entry of ``Bi``): the Krein array ``q^k_ij`` of
-    ``B0*..Bd*``, or the intersection numbers of :class:`IntersectionTensor`."""
+    ``B0*..Bd*``, or the intersection numbers of :class:`IntersectionTensor`.
 
-    __slots__ = ("d", "mats")
+    Each ``Bi`` is kept as a level ``(rows, div, packing)``, the matrix
+    ``rows / div`` (see :func:`_divided`): ``div = 1`` for a tensor built
+    from its matrices, and the cleared levels of :func:`_cleared_levels`
+    for :func:`krein_ladder`.  No divisor is 0, so an entry vanishes
+    exactly when its numerator does (:meth:`nonzero`), and a column sum is
+    the column sum of the numerators over ``div`` (:meth:`numerator_sums`).
+    The matrices ``mats`` are divided when first asked for, once per
+    tensor; :meth:`value` divides one numerator alone.
+    """
 
-    def __init__(self, mats):
-        mats = tuple(mats)
-        self.d = len(mats) - 1
-        for m in mats:
-            if m.nrows != self.d + 1 or m.ncols != self.d + 1:
+    __slots__ = ("d", "levels", "_mats")
+
+    def __init__(self, mats=(), *, levels=None):
+        if levels is None:
+            mats = tuple(mats)
+            levels = [(m.rows, 1, None) for m in mats]
+        else:
+            mats = None
+        self.levels, self._mats, self.d = tuple(levels), mats, len(levels) - 1
+        for rows, _, _ in self.levels:
+            if len(rows) != self.d + 1 or len(rows[0]) != self.d + 1:
                 raise ValueError("structure-constant matrices must all be (d+1) x (d+1)")
-        self.mats = mats
+
+    @property
+    def mats(self) -> tuple:
+        """The matrices ``B0..Bd``, divided on the first call."""
+        if self._mats is None:
+            self._mats = tuple(_divided(*level) for level in self.levels)
+        return self._mats
 
     def q(self, i: int, j: int, k: int):
         """The Krein parameter ``q^k_ij`` (``(j, k)`` entry of ``Bi*``)."""
         return self.mats[i][j, k]
 
+    def nonzero(self, i: int, j: int, k: int) -> bool:
+        """Whether ``x^k_ij != 0``, read from its numerator."""
+        return bool(self.levels[i][0][j][k])
+
+    def value(self, i: int, x):
+        """The numerator ``x`` of ``Bi`` divided by the divisor of ``Bi``."""
+        return _divided([[x]], *self.levels[i][1:])[0, 0]
+
+    def numerator_sums(self, i: int) -> list:
+        """The column sums of the numerators of ``Bi``: values (``div = 1``)
+        add over one common denominator (:func:`~asx.scalars.exact_sums`),
+        numerators as they are; :meth:`value` reads a packed sum back
+        exactly too (see :func:`_cleared_levels`)."""
+        rows, div, packing = self.levels[i]
+        if div == 1 and packing is None:
+            return list(exact_sums(zip(*rows)))
+        return [sum(col[1:], col[0]) for col in zip(*rows)]
+
     def multiplicities(self) -> tuple:
         """``m_i`` as the column sums of ``Bi*`` (column 0)."""
-        return exact_sums(m.col(0) for m in self.mats)
+        return tuple(self.value(i, self.numerator_sums(i)[0]) for i in range(self.d + 1))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -320,13 +361,16 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
     substitution), so the same int recurrence runs as over Q, and width is
     K.  Evaluation at 2^K is a ring map, so a packed ``P_i`` holds the
     values of the polynomial ``P_i`` there.  Width: let S = B + 2A + C + BC
-    with A, B, C the largest coefficient 1-norm of a scaled a*, b*, c*.  An
-    entry of ``P(i+1)`` adds four products whose 1-norms are at most B N_i,
-    2A N_i, C N_i and BC N(i-1), with N_i the largest 1-norm in ``P_i``;
-    N_0 = 1 and N(-1) = 0, so N_i <= S^i by induction, and the divisor's
-    1-norm is at most C^i <= S^i.  Every coefficient up to level d is thus
-    below S^d < 2^(d bitlen(S)), and K = d bitlen(S) + 2 makes each a
-    balanced base-2^K digit, read back exactly by :func:`_divided`.
+    with A, B, C the largest coefficient 1-norm of a scaled a*, b*, c*, and
+    N_i the largest sum of the 1-norms down a column of ``P_i``.  A column
+    of ``P(i+1)`` is that of ``P_i`` times ``delta B1* - delta a_i*``, each
+    of whose columns has 1-norms summing to at most B + 2A + C, minus the
+    coupling, of 1-norm at most BC, times that of ``P(i-1)``; N_0 = 1 and
+    N(-1) = 0, so N_i <= S^i by induction, and the divisor's 1-norm is at
+    most C^i <= S^i.  Every coefficient of an entry or of a column sum up
+    to level d is thus below S^d < 2^(d bitlen(S)), and K = d bitlen(S) + 2
+    makes each a balanced base-2^K digit, read back exactly by
+    :func:`_divided`.
 
     In several variables (or none) each entry is a :class:`PackedPoly`, a
     sparse map from exponent vectors packed into one int, ``width`` bits
@@ -389,10 +433,11 @@ def _cleared_levels(spec: KreinTridiagonal, start: list):
 
 
 def _divided(p: list, div, packing) -> Matrix:
-    """The matrix ``p / div``: one Fraction per entry for int rows; for
-    packed rows each entry and ``div`` are unpacked once, and each quotient
-    is a RatFunc in normal form, built from coefficient lists in one
-    variable (:func:`ratfuncs_over`) and from MultiPolys in several."""
+    """The matrix ``p / div``: for packed rows each entry and ``div`` are
+    unpacked once, and each quotient is a RatFunc in normal form, built from
+    coefficient lists in one variable (:func:`ratfuncs_over`) and from
+    MultiPolys in several; else ``p`` itself for ``div = 1``, and one
+    Fraction per entry for int rows."""
     if packing is not None:
         names, width = packing
         flat = [x for r in p for x in r]
@@ -404,6 +449,8 @@ def _divided(p: list, div, packing) -> Matrix:
             flat = [RatFunc(monomial_unpack(x, names, width), den) for x in flat]
         n = len(p[0])
         return Matrix([flat[k:k + n] for k in range(0, len(flat), n)])
+    if div == 1:
+        return Matrix(p)
     if isinstance(div, int):
         return Matrix([[Fraction(x, div) for x in r] for r in p])
     inv = 1 / div
@@ -419,12 +466,13 @@ def krein_ladder(spec: KreinTridiagonal) -> KreinTensor:
     as ``q^k_ij = Bi*[j, k]``.  The recurrence runs on cleared numerators
     (see :func:`_cleared_levels`), O(d^3) in all, on ints over Q and over
     Q(x) with one variable x, on packed exponent vectors over Q(x1, ...,
-    xk), and each level is divided once.
+    xk).  The tensor keeps the cleared levels: zeros, signs and column sums
+    are read from them, and each level is divided once, when its values
+    are first asked for.
     """
     n = spec.d + 1
     start = [[int(j == k) for k in range(n)] for j in range(n)]
-    levels = (_divided(*level) for level in _cleared_levels(spec, start))
-    return KreinTensor([Matrix.identity(n), *levels])
+    return KreinTensor(levels=[(start, 1, None), *_cleared_levels(spec, start)])
 
 
 def krein_column(spec: KreinTridiagonal, i: int, k: int) -> tuple:
@@ -608,11 +656,6 @@ def _is_nonneg_integer(x) -> bool:
     return is_integer_scalar(x) and x >= 0
 
 
-def _has_no_negative_sign(x) -> bool:
-    """Symbolic entries have no sign and pass."""
-    return isinstance(x, RatFunc) or x >= 0
-
-
 def _entry_check(name: str, tensor: KreinTensor, sym: str, ok) -> FeasibilityCheck:
     """Every entry ``x^k_ij`` of ``tensor`` passes ``ok``; each failure is
     witnessed as ``sym^k_{i,j} = value``."""
@@ -638,19 +681,35 @@ def _positive_integer_check(name: str, values, sym: str) -> FeasibilityCheck:
 
 
 def _column_sum_check(name: str, tensor, totals, sym: str, total: str) -> FeasibilityCheck:
-    """Every column of every ``Bi`` of ``tensor`` sums to ``totals[i]``."""
+    """Every column of every ``Bi`` of ``tensor`` sums to ``totals[i]``:
+    its numerators sum to ``totals[i] div`` over Q and Q(sqrt D); packed
+    sums are divided and compared with ``totals[i]``."""
     bad = []
-    for i, (mat, total_i) in enumerate(zip(tensor.mats, totals)):
-        for k, s in enumerate(mat.column_sums()):
-            if s != total_i:
-                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {s} != {total}_{i}")
+    for i, total_i in enumerate(totals):
+        _, div, packing = tensor.levels[i]
+        target = total_i if packing else total_i * div
+        for k, s in enumerate(tensor.numerator_sums(i)):
+            if (tensor.value(i, s) if packing else s) != target:
+                bad.append(f"sum_j {sym}^{k}_{{{i},j}} = {tensor.value(i, s)} != {total}_{i}")
     return FeasibilityCheck(name, not bad, tuple(bad))
 
 
 def _krein_checks(tensor: KreinTensor, mults) -> tuple[FeasibilityCheck, FeasibilityCheck]:
-    """Krein nonnegativity and the column sums of every ``Bi*`` against ``mults``."""
+    """Krein nonnegativity and the column sums of every ``Bi*`` against
+    ``mults``, read from the numerators.  A numeric ``q^k_ij`` is negative
+    when its numerator is nonzero and its sign differs from the divisor's;
+    symbolic entries (packed, or RatFunc) have no sign and pass.  Only a
+    witness is divided."""
+    rng = range(tensor.d + 1)
+    bad = []
+    for i, (rows, div, packing) in enumerate(tensor.levels):
+        if packing or isinstance(div, RatFunc):
+            continue
+        flip = div < 0
+        bad += [f"q^{k}_{{{i},{j}}} = {tensor.value(i, x)}" for j in rng for k in rng
+                if (x := rows[j][k]) and not isinstance(x, RatFunc) and (x < 0) != flip]
     return (
-        _entry_check("krein-nonnegativity", tensor, "q", _has_no_negative_sign),
+        FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad)),
         _column_sum_check("krein-column-sums", tensor, mults, "q", "m"),
     )
 
@@ -712,10 +771,12 @@ def q_positions(d: int) -> tuple[tuple[int, int, int, bool], ...]:
 def q_condition_failure(tensor: KreinTensor, seq: tuple) -> tuple[int, int, int, bool] | None:
     """The first position ``(i, j, k, must_vanish)`` of :func:`q_positions`
     where the relabeling ``q-hat^k_ij = q^{seq[k]}_{seq[i] seq[j]}`` breaks
-    (Q1)/(Q2), or None when it satisfies both."""
-    q = tensor.q
+    (Q1)/(Q2), or None when it satisfies both.  Only which entries vanish
+    matters, so it reads the tensor's numerators (:meth:`KreinTensor.nonzero`)
+    and divides nothing."""
+    nonzero = tensor.nonzero
     for i, j, k, vanish in q_positions(tensor.d):
-        if (not q(seq[i], seq[j], seq[k])) != vanish:
+        if nonzero(seq[i], seq[j], seq[k]) == vanish:
             return i, j, k, vanish
     return None
 
@@ -729,10 +790,11 @@ def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
     rest: the next index is the only unused k with q^k_{s1, seq[-1]} != 0,
     and a sequence stops when there is no such k or more than one.  Each of
     the at most d full sequences is then checked against (Q1)/(Q2), which
-    makes O(d^4) work in all and no bound on d.  The result is sorted,
-    because sigma(1) = s1 increases.
+    makes O(d^4) work in all and no bound on d.  Every test is a zero test,
+    read from the numerators of the tensor's levels with no division.  The
+    result is sorted, because sigma(1) = s1 increases.
     """
-    d, q = tensor.d, tensor.q
+    d, nonzero = tensor.d, tensor.nonzero
     found = []
     for s1 in range(1, d + 1):
         seq = [0, s1]
@@ -740,7 +802,7 @@ def enumerate_q_orderings(tensor: KreinTensor) -> list[Ordering]:
             nxt = [
                 k
                 for k in range(1, d + 1)
-                if k not in seq and q(s1, seq[-1], k)
+                if k not in seq and nonzero(s1, seq[-1], k)
             ]
             if len(nxt) != 1:
                 break

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import signal
 import tempfile
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asx.scheme
 from asx.casev import MAX_SEARCH, casev_spec
 from asx.cli import _build_parser, run
 from asx.params import render_params
@@ -35,6 +37,17 @@ c: 1 1+sqrt(5)
 a: 0 1
 b: 2 1
 """
+
+
+def _valid_array(seed: int, d: int, digits: int) -> str:
+    """A params file of ``d`` classes with c1* = 1, seeded random b_i* and
+    c_i* of ``digits`` digits, and each a_i* from its column sum b0*."""
+    rng = random.Random(seed)
+    c = [1] + [rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(d - 1)]
+    b = [rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(d)]
+    a = [b[0] - c[i] - (b[i + 1] if i + 1 < d else 0) for i in range(d)]
+    return (f"format: asx-params v1\nd: {d}\nfield: Q\n"
+            + "".join(f"{key}: {' '.join(map(str, xs))}\n" for key, xs in zip("cab", (c, a, b))))
 
 
 @pytest.fixture
@@ -370,6 +383,48 @@ class TestOrderings:
             {"sigma": "(0,1,2,3,4,5)", "type": "reference"},
             {"sigma": "(0,5,3,2,4,1)", "type": "V"},
         ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_d16_with_1000_digit_entries(self, tmp_path, capsys, seed):
+        # At the params bounds' corner the Krein ladder's entries reach about
+        # 16,000 digits.  Orderings reads only which of them vanish, from
+        # the cleared integers, so no entry is divided; SIGALRM fails the
+        # test after 3 s.
+        p = tmp_path / "d16.params"
+        p.write_text(_valid_array(seed, 16, 1000))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("orderings on a d = 16 array took more than 3 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(3)
+        try:
+            assert run(["orderings", str(p)]) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        reference = "(" + ",".join(map(str, range(17))) + ")"
+        assert capsys.readouterr().out.splitlines()[1:] == [f"  {reference}  type: reference"]
+
+
+@pytest.mark.parametrize("command", ["check", "orderings"])
+@pytest.mark.parametrize("text", [CUBE, QUAD_ENTRIES, M5])
+def test_check_and_orderings_divide_no_ladder(tmp_path, monkeypatch, capsys, command, text):
+    # the Krein battery and the ordering search read zeros, signs and column
+    # sums from the cleared levels: a Krein value is divided only for a
+    # witness or a multiplicity, one entry at a time
+    sizes = []
+    divided = asx.scheme._divided
+
+    def spy(p, div, packing):
+        sizes.append(len(p) * len(p[0]))
+        return divided(p, div, packing)
+
+    monkeypatch.setattr(asx.scheme, "_divided", spy)
+    p = tmp_path / "array.params"
+    p.write_text(text)
+    run([command, str(p)])
+    assert set(sizes) <= {1}
 
 
 class TestFuse:

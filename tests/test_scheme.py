@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from asx.casev import CASE_V_ORDERING, _free_tridiagonal, casev_spec
+from asx.casev import CASE_V_ORDERING, CASE_V_PARTITION, _free_tridiagonal, casev_spec
 from asx.errors import (
     InconsistentEigenmatrices,
     InvalidPartition,
@@ -19,7 +19,7 @@ from asx.errors import (
 from asx.linalg import Matrix
 from asx.oracles import named_scheme, scheme_from_relations
 from asx.poly import MultiPoly, RatFunc
-from asx.scalars import QuadraticNumber
+from asx.scalars import QuadraticNumber, exact_sums
 from asx.scheme import (
     FusionPartition,
     KreinTensor,
@@ -283,6 +283,131 @@ def test_krein_column_is_the_ladder_column(name):
         got = krein_column(spec, i, k)
         assert got == mats[i].col(k)
         assert list(map(str, got)) == list(map(str, mats[i].col(k)))
+
+
+def _value_battery(mats) -> list[str]:
+    """The Krein nonnegativity and column-sum lines of tensor_checks,
+    computed from the divided matrices alone: a symbolic entry has no sign,
+    and every column of Bi* must sum to m_i, the sum of its column 0."""
+    rng = range(len(mats))
+    mults = exact_sums(m.col(0) for m in mats)
+    negative = [f"q^{k}_{{{i},{j}}} = {mats[i][j, k]}" for i in rng for j in rng for k in rng
+                if not (isinstance(mats[i][j, k], RatFunc) or mats[i][j, k] >= 0)]
+    sums = [f"sum_j q^{k}_{{{i},j}} = {s} != m_{i}"
+            for i in rng for k, s in enumerate(mats[i].column_sums()) if s != mults[i]]
+    return [f"[{'FAIL' if bad else 'pass'}] {name}" + (": " + "; ".join(bad) if bad else "")
+            for name, bad in (("krein-nonnegativity", negative), ("krein-column-sums", sums))]
+
+
+def _assert_levels_match_the_values(tensor, mats):
+    """The zero pattern, signs, column sums and multiplicities that
+    ``tensor`` reads from its levels are those of the divided ``mats``."""
+    rng = range(len(mats))
+    assert [tensor.nonzero(i, j, k) for i in rng for j in rng for k in rng] == [
+        bool(mats[i][j, k]) for i in rng for j in rng for k in rng]
+    for i in rng:
+        sums = [tensor.value(i, s) for s in tensor.numerator_sums(i)]
+        assert list(map(str, sums)) == list(map(str, mats[i].column_sums()))
+    assert list(map(str, tensor.multiplicities())) == list(
+        map(str, exact_sums(m.col(0) for m in mats)))
+    assert tensor_checks(tensor).lines() == _value_battery(mats)
+
+
+@pytest.mark.parametrize("name", LADDER_ROUTE_SPECS)
+def test_levels_give_the_support_signs_and_column_sums(name):
+    # read from the cleared levels of a fresh tensor, before any division
+    spec = LADDER_ROUTE_SPECS[name]()
+    tensor = krein_ladder(spec)
+    _assert_levels_match_the_values(tensor, krein_ladder(spec).mats)
+
+
+# every named family, with each cycle whose eigenvalues are rational or quadratic
+ORACLE_SCHEMES = [("complete", n) for n in range(2, 6)] + [
+    ("cycle", n) for n in (3, 4, 5, 6, 8, 10, 12)] + [("hypercube", n) for n in range(1, 5)] + [
+    ("petersen", None)]
+
+
+@pytest.mark.parametrize("name, parameter", ORACLE_SCHEMES)
+def test_levels_of_every_oracle_scheme(name, parameter):
+    # the counted tensors (levels over 1), and the ladder of the distance
+    # scheme's tridiagonal B1, which runs the same recurrence
+    counted = scheme_from_relations(named_scheme(name, parameter))
+    for tensor in (counted.kreins, counted.intersections):
+        _assert_levels_match_the_values(tensor, tensor.mats)
+    spec = tridiagonal_from_tensor(counted.intersections)
+    _assert_levels_match_the_values(krein_ladder(spec), counted.intersections.mats)
+
+
+def test_levels_of_a_symbolic_tensor_built_from_matrices():
+    # the fused case-V tensor holds RatFunc values over divisor 1
+    fused = fuse(krein_ladder(casev_spec(None).spec), CASE_V_PARTITION)
+    _assert_levels_match_the_values(fused, fused.mats)
+
+
+# Krein battery lines for a negative q, negative divisors (c2* < 0), a bad
+# column sum and entries in Q(sqrt 5) and Q(sqrt 2): the witnesses as the battery wrote
+# them when it divided the whole ladder first
+R5, R2 = QuadraticNumber(0, 1, 5), QuadraticNumber(0, 1, 2)
+FAILING_KREIN_SPECS = {
+    "negative q": (KreinTridiagonal(3, c=[1, 2, 3], a=[0, 0, 0], b=[3, -1, 1]), [
+        "[FAIL] krein-nonnegativity: q^1_{1,2} = -1; q^1_{2,1} = -1; q^0_{2,2} = -3/2; "
+        "q^2_{2,2} = -1; q^1_{2,3} = -1/2; q^1_{3,2} = -1/2; q^0_{3,3} = -1/2",
+        "[FAIL] krein-column-sums: sum_j q^1_{1,j} = 0 != m_1; sum_j q^2_{2,j} = 0 != m_2; "
+        "sum_j q^3_{2,j} = 3 != m_2; sum_j q^2_{3,j} = 1 != m_3; sum_j q^3_{3,j} = 1 != m_3"]),
+    "negative divisor": (KreinTridiagonal(3, c=[1, Fraction(-2, 3), 5], a=[Fraction(1, 2), 0, -1],
+                                          b=[2, Fraction(7, 5), -3]), [
+        "[FAIL] krein-nonnegativity: q^2_{1,1} = -2/3; q^2_{1,3} = -3; q^3_{1,3} = -1; "
+        "q^0_{2,2} = -21/5; q^2_{2,3} = -27/4; q^2_{3,1} = -3; q^3_{3,1} = -1; q^2_{3,2} = -27/4; "
+        "q^1_{3,3} = -63/50; q^2_{3,3} = -279/20; q^3_{3,3} = -278/25",
+        "[FAIL] krein-column-sums: sum_j q^1_{1,j} = 29/10 != m_1; sum_j q^2_{1,j} = -11/3 != m_1; "
+        "sum_j q^3_{1,j} = 4 != m_1; sum_j q^1_{2,j} = 77/10 != m_2; sum_j q^2_{2,j} = 423/20 != m_2; "
+        "sum_j q^3_{2,j} = 79/2 != m_2; sum_j q^1_{3,j} = 126/25 != m_3; "
+        "sum_j q^2_{3,j} = -237/10 != m_3; sum_j q^3_{3,j} = 1213/100 != m_3"]),
+    "bad column sum": (KreinTridiagonal(2, c=[1, 1], a=[0, 2], b=[2, 1]), [
+        "[pass] krein-nonnegativity",
+        "[FAIL] krein-column-sums: sum_j q^2_{1,j} = 3 != m_1; sum_j q^1_{2,j} = 3 != m_2; "
+        "sum_j q^2_{2,j} = 6 != m_2"]),
+    "Q(sqrt 5)": (KreinTridiagonal(3, c=[1, (1 + R5) / 2, R5], a=[R5 - 1, 0, Fraction(1, 3)],
+                                   b=[2, -R5, 3]), [
+        "[FAIL] krein-nonnegativity: q^1_{1,2} = -sqrt(5); q^1_{2,1} = -sqrt(5); "
+        "q^0_{2,2} = -5+sqrt(5); q^3_{2,2} = 35/6-19/6*sqrt(5); q^1_{2,3} = -15/2+3/2*sqrt(5); "
+        "q^2_{2,3} = -19/2+7/2*sqrt(5); q^1_{3,2} = -15/2+3/2*sqrt(5); "
+        "q^2_{3,2} = -19/2+7/2*sqrt(5); q^0_{3,3} = 3-3*sqrt(5); q^1_{3,3} = 1/2-1/2*sqrt(5); "
+        "q^3_{3,3} = -533/54+1079/270*sqrt(5)",
+        "[FAIL] krein-column-sums: sum_j q^1_{1,j} = 0 != m_1; "
+        "sum_j q^2_{1,j} = 7/2+1/2*sqrt(5) != m_1; sum_j q^3_{1,j} = 1/3+sqrt(5) != m_1; "
+        "sum_j q^1_{2,j} = -15/2+1/2*sqrt(5) != m_2; sum_j q^2_{2,j} = 0 != m_2; "
+        "sum_j q^3_{2,j} = 239/18-77/18*sqrt(5) != m_2; sum_j q^1_{3,j} = -7+sqrt(5) != m_3; "
+        "sum_j q^2_{3,j} = -77/6+239/30*sqrt(5) != m_3; "
+        "sum_j q^3_{3,j} = -59/54+509/270*sqrt(5) != m_3"]),
+    "divisor -1": (KreinTridiagonal(2, c=[1, -1], a=[1, 2], b=[2, 3]), [
+        "[FAIL] krein-nonnegativity: q^2_{1,1} = -1; q^0_{2,2} = -6; q^1_{2,2} = -6",
+        "[FAIL] krein-column-sums: sum_j q^1_{1,j} = 5 != m_1; sum_j q^2_{1,j} = 1 != m_1; "
+        "sum_j q^1_{2,j} = -3 != m_2; sum_j q^2_{2,j} = 6 != m_2"]),
+    # divisors 1/2 and sqrt(2)/6, between 0 and 1
+    "Q(sqrt 2), divisors below 1": (KreinTridiagonal(3, c=[1, Fraction(1, 2), R2 / 3],
+                                                     a=[R2, -1, Fraction(2, 3)], b=[3, R2 - 2, 1]), [
+        "[FAIL] krein-nonnegativity: q^1_{1,2} = -2+sqrt(2); q^2_{1,2} = -1; q^1_{2,1} = -2+sqrt(2); "
+        "q^2_{2,1} = -1; q^0_{2,2} = -12+6*sqrt(2); q^2_{2,2} = -6+11/3*sqrt(2); "
+        "q^3_{2,2} = -4/3-2/9*sqrt(2); q^1_{2,3} = -4+2*sqrt(2); q^2_{2,3} = -2/3-2*sqrt(2); "
+        "q^3_{2,3} = -46/9-2/3*sqrt(2); q^1_{3,2} = -4+2*sqrt(2); q^2_{3,2} = -2/3-2*sqrt(2); "
+        "q^3_{3,2} = -46/9-2/3*sqrt(2); q^0_{3,3} = 18-18*sqrt(2); q^1_{3,3} = 4-4*sqrt(2); "
+        "q^2_{3,3} = -2-23/3*sqrt(2); q^3_{3,3} = -6-115/9*sqrt(2)",
+        "[FAIL] krein-column-sums: sum_j q^1_{1,j} = -1+2*sqrt(2) != m_1; sum_j q^2_{1,j} = 1/2 != m_1; "
+        "sum_j q^3_{1,j} = 2/3+1/3*sqrt(2) != m_1; sum_j q^1_{2,j} = -2+sqrt(2) != m_2; "
+        "sum_j q^2_{2,j} = -20/3+5/3*sqrt(2) != m_2; sum_j q^3_{2,j} = -58/9-5/9*sqrt(2) != m_2; "
+        "sum_j q^1_{3,j} = -2*sqrt(2) != m_3; sum_j q^2_{3,j} = -5/3-29/3*sqrt(2) != m_3; "
+        "sum_j q^3_{3,j} = -85/9-121/9*sqrt(2) != m_3"]),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_KREIN_SPECS)
+def test_failing_krein_checks_keep_their_witnesses(name):
+    spec, lines = FAILING_KREIN_SPECS[name]
+    tensor = krein_ladder(spec)
+    assert tensor_checks(tensor).lines() == lines
+    assert tensor._mats is None  # only the witnesses were divided
+    _assert_levels_match_the_values(tensor, krein_ladder(spec).mats)
 
 
 def test_one_variable_ladder_runs_on_packed_ints(monkeypatch):
