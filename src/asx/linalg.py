@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, MixedScalars, SingularMatrix
 from .poly import RatFunc
-from .scalars import QuadraticNumber, exact_sums, from_integer_parts, integer_parts
+from .scalars import QuadraticNumber, from_integer_parts, integer_parts
 
 
 def _check_kinds(entries):
@@ -76,8 +76,8 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def column_sums(self) -> tuple:
-        """The sum of each column (:func:`~asx.scalars.exact_sums`)."""
-        return exact_sums(zip(*self.rows))
+        """The sum of each column, added in the field."""
+        return tuple(sum(col, Fraction(0)) for col in zip(*self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

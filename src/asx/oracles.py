@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidParameter, InvariantViolation, NotAScheme, NotPPolynomial, UnknownName
-from .linalg import Matrix
 from .scheme import (
     IntersectionTensor,
     KreinTensor,
@@ -85,7 +84,7 @@ def _count_intersections(rels: RelationSet):
 
     rows = [[bits(r) for r in A] for A in relations]
     cols = [[bits(c) for c in zip(*A)] for A in relations]
-    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    p = [[None] * (d + 1) for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
             M = [[(r & c).bit_count() for c in cols[j]] for r in rows[i]]
@@ -99,8 +98,7 @@ def _count_intersections(rels: RelationSet):
                         raise NotAScheme(
                             f"A{i} A{j} is not in the span of the relations"
                         )
-            for k, c in enumerate(coeffs):
-                p[i][j][k] = Fraction(c)
+            p[i][j] = coeffs
     return p
 
 
@@ -158,13 +156,14 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     :func:`~asx.scheme.tridiagonal_from_tensor`, ``P`` is their
     :func:`~asx.scheme.dual_eigensystem`, then ``Q = n P^{-1}``.  The Krein
     numbers are :func:`~asx.scheme.intersection_tensor` of the dual
-    parameter set, so both of its formulas cross-check them.  Intersection
-    numbers are counted directly and attached to the result.
+    parameter set, so both of its formulas cross-check them, kept as its
+    levels.  Intersection numbers are counted directly and attached to the
+    result as int levels over 1.
     """
     rels.validate()
     n, d = Fraction(rels.n), rels.d
     p = _count_intersections(rels)
-    inters = IntersectionTensor(map(Matrix, p))
+    inters = IntersectionTensor(levels=[(plane, 1, None) for plane in p])
     try:
         spec = tridiagonal_from_tensor(inters)
     except InvariantViolation as exc:
@@ -173,5 +172,5 @@ def scheme_from_relations(rels: RelationSet) -> SchemeParams:
     Q = first_eigenmatrix(P, n)
     # the dual parameter set: P <-> Q, valencies <-> multiplicities
     dual = SchemeParams(d, n, P.row(0), Q.row(0), Q=P, P=Q, kreins=None)
-    kreins = KreinTensor(intersection_tensor(dual).mats)
+    kreins = KreinTensor(levels=intersection_tensor(dual).levels)
     return SchemeParams(d, n, Q.row(0), P.row(0), Q, P, kreins, inters)

@@ -298,23 +298,6 @@ def integer_parts(values, radicand: int = 0):
     return a, b, den, radicand
 
 
-def exact_sums(vectors) -> tuple:
-    """The sum of each vector, over Q and Q(sqrt D) on integer numerators
-    through one :func:`integer_parts` call; other values (RatFunc) are
-    summed from ``Fraction(0)``."""
-    vectors = [tuple(v) for v in vectors]
-    parts = integer_parts([x for v in vectors for x in v])
-    if parts is None:
-        return tuple(sum(v, Fraction(0)) for v in vectors)
-    a, b, den, rad = parts
-    out, i = [], 0
-    for v in vectors:
-        j = i + len(v)
-        out.append(from_integer_parts(sum(a[i:j]), sum(b[i:j]), den, rad))
-        i = j
-    return tuple(out)
-
-
 def from_integer_parts(a: int, b: int, den: int, radicand: int):
     """``(a + b sqrt radicand)/den`` as a Fraction or QuadraticNumber."""
     if not b:

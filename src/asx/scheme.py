@@ -25,8 +25,10 @@ Everything here works on exact scalars.  The central objects:
   eigenmatrices by two independent formulas that must agree.  Both run on
   every entry, on integer numerators over Q and Q(sqrt D), and are compared
   by cross-multiplying both integer components; ``P = n Q^-1`` comes from
-  the fraction-free elimination of :mod:`asx.linalg`.  Column sums run on
-  integer numerators too.
+  the fraction-free elimination of :mod:`asx.linalg`.  The tensor is
+  stored as levels too, the numerators over one int denominator, so the
+  battery reads integrality, signs and column sums from them as it does
+  for the Krein tensor.
 
 All operations are pure functions over immutable values; candidate loops
 (ordering enumeration, feasibility checks) are order-independent and their
@@ -65,7 +67,6 @@ from .poly import (
 from .scalars import (
     QuadraticNumber,
     dot_parts,
-    exact_sums,
     from_integer_parts,
     integer_parts,
     is_integer_scalar,
@@ -148,8 +149,9 @@ class KreinTensor:
 
     Each ``Bi`` is kept as a level ``(rows, div, packing)``, the matrix
     ``rows / div`` (see :func:`_divided`): ``div = 1`` for a tensor built
-    from its matrices, and the cleared levels of :func:`_cleared_levels`
-    for :func:`krein_ladder`.  No divisor is 0, so an entry vanishes
+    from its matrices, the cleared levels of :func:`_cleared_levels` for
+    :func:`krein_ladder`, and integer numerators over one int denominator
+    for :func:`intersection_tensor`.  No divisor is 0, so an entry vanishes
     exactly when its numerator does (:meth:`nonzero`), and a column sum is
     the column sum of the numerators over ``div`` (:meth:`numerator_sums`).
     The matrices ``mats`` are divided when first asked for, once per
@@ -189,14 +191,10 @@ class KreinTensor:
         return _divided([[x]], *self.levels[i][1:])[0, 0]
 
     def numerator_sums(self, i: int) -> list:
-        """The column sums of the numerators of ``Bi``: values (``div = 1``)
-        add over one common denominator (:func:`~asx.scalars.exact_sums`),
-        numerators as they are; :meth:`value` reads a packed sum back
+        """The column sums of the numerators of ``Bi``, each added in the
+        numerators' own ring; :meth:`value` divides one back, a packed sum
         exactly too (see :func:`_cleared_levels`)."""
-        rows, div, packing = self.levels[i]
-        if div == 1 and packing is None:
-            return list(exact_sums(zip(*rows)))
-        return [sum(col[1:], col[0]) for col in zip(*rows)]
+        return [sum(col[1:], col[0]) for col in zip(*self.levels[i][0])]
 
     def multiplicities(self) -> tuple:
         """``m_i`` as the column sums of ``Bi*`` (column 0)."""
@@ -212,8 +210,9 @@ class KreinTensor:
 
 
 class IntersectionTensor(KreinTensor):
-    """Full intersection array ``p^k_ij`` stored as the matrices ``B0..Bd``;
-    ``valencies`` are the column sums of ``Bi`` (column 0)."""
+    """Full intersection array ``p^k_ij`` stored as levels, as in
+    :class:`KreinTensor`; ``valencies`` are the column sums of ``Bi``
+    (column 0)."""
 
     __slots__ = ()
 
@@ -437,7 +436,8 @@ def _divided(p: list, div, packing) -> Matrix:
     unpacked once, and each quotient is a RatFunc in normal form, built from
     coefficient lists in one variable (:func:`ratfuncs_over`) and from
     MultiPolys in several; else ``p`` itself for ``div = 1``, and one
-    Fraction per entry for int rows."""
+    Fraction per int entry (a QuadraticNumber entry divided) for an int
+    ``div``."""
     if packing is not None:
         names, width = packing
         flat = [x for r in p for x in r]
@@ -452,7 +452,7 @@ def _divided(p: list, div, packing) -> Matrix:
     if div == 1:
         return Matrix(p)
     if isinstance(div, int):
-        return Matrix([[Fraction(x, div) for x in r] for r in p])
+        return Matrix([[Fraction(x, div) if isinstance(x, int) else x / div for x in r] for r in p])
     inv = 1 / div
     return Matrix([[x * inv for x in r] for r in p])
 
@@ -610,8 +610,9 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
 
     Both are evaluated exactly on every entry and must agree.  They run on
     integer pairs (:func:`triple_sums`): each side is a pair ``(A, B)`` over
-    its own denominator, the two are compared by cross-multiplying both
-    components, and each ``p^k_ij`` is rebuilt once.
+    its own denominator, and the two are compared by cross-multiplying both
+    components.  The tensor keeps the pairs as levels over one int
+    denominator: an int numerator over Q, ``A + B sqrt D`` over Q(sqrt D).
     """
     d, n = params.d, params.n
     P, Q = params.P, params.Q
@@ -643,8 +644,8 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
                         f"p^{kk}_{{{i},{j}}}: {from_integer_parts(*v1, den, rad)} (eigen form) "
                         f"vs {from_integer_parts(*v2, den, rad)} (dual form)"
                     )
-                p[i][j][kk] = from_integer_parts(*v1, den, rad)
-    return IntersectionTensor(map(Matrix, p))
+                p[i][j][kk] = from_integer_parts(*v1, 1, rad) if v1[1] else v1[0]
+    return IntersectionTensor(levels=[(plane, den, None) for plane in p])
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +653,28 @@ def intersection_tensor(params: SchemeParams) -> IntersectionTensor:
 # ---------------------------------------------------------------------------
 
 
-def _is_nonneg_integer(x) -> bool:
-    return is_integer_scalar(x) and x >= 0
+def _negative(x, div) -> bool:
+    """Whether the numeric ``x / div`` is negative: ``x`` is nonzero and its
+    sign differs from the divisor's.  A symbolic value has no sign."""
+    if isinstance(x, RatFunc) or isinstance(div, RatFunc):
+        return False
+    return bool(x) and (x < 0) != (div < 0)
 
 
-def _entry_check(name: str, tensor: KreinTensor, sym: str, ok) -> FeasibilityCheck:
-    """Every entry ``x^k_ij`` of ``tensor`` passes ``ok``; each failure is
-    witnessed as ``sym^k_{i,j} = value``."""
+def _not_a_count(x, div) -> bool:
+    """Whether ``x / div`` is not a nonnegative integer: ``x`` is not an
+    integer multiple of ``div``, or the quotient is negative."""
+    return not isinstance(x, (int, Fraction)) or x % div != 0 or _negative(x, div)
+
+
+def _numerator_check(name: str, tensor: KreinTensor, sym: str, fails) -> FeasibilityCheck:
+    """No numerator ``x`` of a numeric level of ``tensor`` has ``fails(x,
+    div)``; each failure is witnessed as ``sym^k_{i,j} = value``, and only a
+    witness is divided.  Packed levels are symbolic and pass."""
     rng = range(tensor.d + 1)
-    bad = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                v = tensor.q(i, j, k)
-                if not ok(v):
-                    bad.append(f"{sym}^{k}_{{{i},{j}}} = {v}")
+    bad = [f"{sym}^{k}_{{{i},{j}}} = {tensor.value(i, x)}"
+           for i, (rows, div, packing) in enumerate(tensor.levels) if not packing
+           for j in rng for k in rng if fails(x := rows[j][k], div)]
     return FeasibilityCheck(name, not bad, tuple(bad))
 
 
@@ -681,9 +689,10 @@ def _positive_integer_check(name: str, values, sym: str) -> FeasibilityCheck:
 
 
 def _column_sum_check(name: str, tensor, totals, sym: str, total: str) -> FeasibilityCheck:
-    """Every column of every ``Bi`` of ``tensor`` sums to ``totals[i]``:
-    its numerators sum to ``totals[i] div`` over Q and Q(sqrt D); packed
-    sums are divided and compared with ``totals[i]``."""
+    """Every column of every ``Bi`` of ``tensor``, Krein or intersection,
+    sums to ``totals[i]``: over Q and Q(sqrt D) its numerators sum to
+    ``totals[i] div`` and only a witness is divided; packed sums are divided
+    and compared with ``totals[i]``."""
     bad = []
     for i, total_i in enumerate(totals):
         _, div, packing = tensor.levels[i]
@@ -696,20 +705,9 @@ def _column_sum_check(name: str, tensor, totals, sym: str, total: str) -> Feasib
 
 def _krein_checks(tensor: KreinTensor, mults) -> tuple[FeasibilityCheck, FeasibilityCheck]:
     """Krein nonnegativity and the column sums of every ``Bi*`` against
-    ``mults``, read from the numerators.  A numeric ``q^k_ij`` is negative
-    when its numerator is nonzero and its sign differs from the divisor's;
-    symbolic entries (packed, or RatFunc) have no sign and pass.  Only a
-    witness is divided."""
-    rng = range(tensor.d + 1)
-    bad = []
-    for i, (rows, div, packing) in enumerate(tensor.levels):
-        if packing or isinstance(div, RatFunc):
-            continue
-        flip = div < 0
-        bad += [f"q^{k}_{{{i},{j}}} = {tensor.value(i, x)}" for j in rng for k in rng
-                if (x := rows[j][k]) and not isinstance(x, RatFunc) and (x < 0) != flip]
+    ``mults``, read from the numerators (:func:`_negative`)."""
     return (
-        FeasibilityCheck("krein-nonnegativity", not bad, tuple(bad)),
+        _numerator_check("krein-nonnegativity", tensor, "q", _negative),
         _column_sum_check("krein-column-sums", tensor, mults, "q", "m"),
     )
 
@@ -731,7 +729,7 @@ def feasibility_report(params: SchemeParams) -> FeasibilityReport:
         integrality = FeasibilityCheck("intersection-integrality", False, disagree)
         inter_sums = FeasibilityCheck("intersection-column-sums", False, disagree)
     else:
-        integrality = _entry_check("intersection-integrality", inter, "p", _is_nonneg_integer)
+        integrality = _numerator_check("intersection-integrality", inter, "p", _not_a_count)
         inter_sums = _column_sum_check("intersection-column-sums", inter, params.valencies, "p", "k")
     return FeasibilityReport((
         nonneg,
@@ -886,9 +884,10 @@ def fuse(tensor: KreinTensor, partition: FusionPartition) -> KreinTensor:
 
 
 def tridiagonal_from_tensor(tensor: KreinTensor) -> KreinTridiagonal:
-    """Read the ``c*/a*/b*`` arrays off ``B1*``; the matrix must be tridiagonal."""
+    """Read the ``c*/a*/b*`` arrays off ``B1*``, the one level divided; the
+    matrix must be tridiagonal."""
     d = tensor.d
-    b1 = tensor.mats[min(d, 1)]  # d = 0 has no B1*; KreinTridiagonal rejects it
+    b1 = _divided(*tensor.levels[min(d, 1)])  # d = 0 has no B1*; KreinTridiagonal rejects it
     for j in range(d + 1):
         for k in range(d + 1):
             if abs(j - k) > 1 and b1[j, k]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import asx.scheme
 from asx.casev import CASE_V_ORDERING, CASE_V_PARTITION, _free_tridiagonal, casev_spec
 from asx.errors import (
     InconsistentEigenmatrices,
@@ -19,9 +20,10 @@ from asx.errors import (
 from asx.linalg import Matrix
 from asx.oracles import named_scheme, scheme_from_relations
 from asx.poly import MultiPoly, RatFunc
-from asx.scalars import QuadraticNumber, exact_sums
+from asx.scalars import QuadraticNumber, is_integer_scalar
 from asx.scheme import (
     FusionPartition,
+    IntersectionTensor,
     KreinTensor,
     KreinTridiagonal,
     Ordering,
@@ -285,32 +287,51 @@ def test_krein_column_is_the_ladder_column(name):
         assert list(map(str, got)) == list(map(str, mats[i].col(k)))
 
 
-def _value_battery(mats) -> list[str]:
-    """The Krein nonnegativity and column-sum lines of tensor_checks,
-    computed from the divided matrices alone: a symbolic entry has no sign,
-    and every column of Bi* must sum to m_i, the sum of its column 0."""
+def _value_battery(mats, valencies=None) -> list[str]:
+    """Two battery lines computed from the divided matrices alone.  For a
+    Krein tensor (no ``valencies``) those of tensor_checks: a symbolic entry
+    has no sign, and every column of Bi* must sum to m_i, the sum of its
+    column 0.  For an intersection tensor the intersection lines of
+    feasibility_report: every p^k_ij is a nonnegative integer, and every
+    column of Bi sums to k_i."""
     rng = range(len(mats))
-    mults = exact_sums(m.col(0) for m in mats)
-    negative = [f"q^{k}_{{{i},{j}}} = {mats[i][j, k]}" for i in rng for j in rng for k in rng
-                if not (isinstance(mats[i][j, k], RatFunc) or mats[i][j, k] >= 0)]
-    sums = [f"sum_j q^{k}_{{{i},j}} = {s} != m_{i}"
-            for i in rng for k, s in enumerate(mats[i].column_sums()) if s != mults[i]]
-    return [f"[{'FAIL' if bad else 'pass'}] {name}" + (": " + "; ".join(bad) if bad else "")
-            for name, bad in (("krein-nonnegativity", negative), ("krein-column-sums", sums))]
+    if valencies is None:
+        kind, sym, total, totals = "krein", "q", "m", [m.column_sums()[0] for m in mats]
+        name, ok = "krein-nonnegativity", lambda x: isinstance(x, RatFunc) or x >= 0
+    else:
+        kind, sym, total, totals = "intersection", "p", "k", valencies
+        name, ok = "intersection-integrality", lambda x: is_integer_scalar(x) and x >= 0
+    entries = [f"{sym}^{k}_{{{i},{j}}} = {mats[i][j, k]}" for i in rng for j in rng for k in rng
+               if not ok(mats[i][j, k])]
+    sums = [f"sum_j {sym}^{k}_{{{i},j}} = {s} != {total}_{i}"
+            for i in rng for k, s in enumerate(mats[i].column_sums()) if s != totals[i]]
+    return [f"[{'FAIL' if bad else 'pass'}] {line}" + (": " + "; ".join(bad) if bad else "")
+            for line, bad in ((name, entries), (f"{kind}-column-sums", sums))]
 
 
-def _assert_levels_match_the_values(tensor, mats):
+def _intersection_lines(params, tensor) -> list[str]:
+    """The intersection lines of feasibility_report with ``tensor`` as the
+    intersection numbers of ``params``."""
+    lines = feasibility_report(params._replace(intersections=tensor)).lines()
+    return [line for line in lines if "] intersection-" in line]
+
+
+def _assert_levels_match_the_values(tensor, mats, params=None):
     """The zero pattern, signs, column sums and multiplicities that
-    ``tensor`` reads from its levels are those of the divided ``mats``."""
+    ``tensor`` reads from its levels are those of the divided ``mats``; with
+    ``params``, ``tensor`` holds their intersection numbers, and its
+    integrality and column sums are compared too."""
     rng = range(len(mats))
     assert [tensor.nonzero(i, j, k) for i in rng for j in rng for k in rng] == [
         bool(mats[i][j, k]) for i in rng for j in rng for k in rng]
     for i in rng:
         sums = [tensor.value(i, s) for s in tensor.numerator_sums(i)]
         assert list(map(str, sums)) == list(map(str, mats[i].column_sums()))
-    assert list(map(str, tensor.multiplicities())) == list(
-        map(str, exact_sums(m.col(0) for m in mats)))
-    assert tensor_checks(tensor).lines() == _value_battery(mats)
+    assert list(map(str, tensor.multiplicities())) == [str(m.column_sums()[0]) for m in mats]
+    if params is None:
+        assert tensor_checks(tensor).lines() == _value_battery(mats)
+    else:
+        assert _intersection_lines(params, tensor) == _value_battery(mats, params.valencies)
 
 
 @pytest.mark.parametrize("name", LADDER_ROUTE_SPECS)
@@ -329,11 +350,15 @@ ORACLE_SCHEMES = [("complete", n) for n in range(2, 6)] + [
 
 @pytest.mark.parametrize("name, parameter", ORACLE_SCHEMES)
 def test_levels_of_every_oracle_scheme(name, parameter):
-    # the counted tensors (levels over 1), and the ladder of the distance
-    # scheme's tridiagonal B1, which runs the same recurrence
+    # the oracle's tensors (the counts over 1, the Krein numbers over the
+    # dual's denominator), the intersection numbers computed from its
+    # eigenmatrices, and the ladder of the distance scheme's tridiagonal B1,
+    # which runs the same recurrence
     counted = scheme_from_relations(named_scheme(name, parameter))
-    for tensor in (counted.kreins, counted.intersections):
-        _assert_levels_match_the_values(tensor, tensor.mats)
+    _assert_levels_match_the_values(counted.kreins, counted.kreins.mats)
+    _assert_levels_match_the_values(counted.intersections, counted.intersections.mats, counted)
+    computed = intersection_tensor(counted)
+    _assert_levels_match_the_values(computed, intersection_tensor(counted).mats, counted)
     spec = tridiagonal_from_tensor(counted.intersections)
     _assert_levels_match_the_values(krein_ladder(spec), counted.intersections.mats)
 
@@ -408,6 +433,133 @@ def test_failing_krein_checks_keep_their_witnesses(name):
     assert tensor_checks(tensor).lines() == lines
     assert tensor._mats is None  # only the witnesses were divided
     _assert_levels_match_the_values(tensor, krein_ladder(spec).mats)
+
+
+# the ladder route specs with a dual eigensystem; the rest are symbolic,
+# have roots in two quadratic fields or none, or (big-d*) a constant term
+# too large to factor in test time
+EIGENSYSTEM_SPECS = ["casev-m5", "pentagon", "petersen",
+                     *(f"H({d},{q})" for d in range(1, 7) for q in (2, 3, 4))]
+
+
+def _assert_integer_numerators(tensor):
+    """Every level of ``tensor`` holds ints, and QuadraticNumbers with
+    integer parts where a value is irrational, over one int divisor."""
+    for rows, div, packing in tensor.levels:
+        assert type(div) is int and packing is None
+        for x in itertools.chain.from_iterable(rows):
+            assert type(x) is int or (
+                isinstance(x, QuadraticNumber) and x.rational_part.denominator == 1
+                and x.sqrt_coefficient.denominator == 1), x
+
+
+@pytest.mark.parametrize("name", EIGENSYSTEM_SPECS)
+def test_levels_of_a_computed_intersection_tensor(name):
+    params = scheme_params(LADDER_ROUTE_SPECS[name]())
+    tensor = intersection_tensor(params)
+    _assert_integer_numerators(tensor)
+    _assert_levels_match_the_values(tensor, intersection_tensor(params).mats, params)
+
+
+# intersection battery lines for m = 5 (the 72/7 witness), for p^k_ij and
+# valencies in Q(sqrt 105), and for valencies that the column sums miss: the
+# witnesses as the battery wrote them when it divided the whole tensor first
+R105 = KreinTridiagonal(2, c=[1, Fraction(1, 2)], a=[-3, Fraction(7, 2)], b=[4, 6])
+R105_INTEGRALITY = (
+    "[FAIL] intersection-integrality: p^0_{1,1} = 26+58/35*sqrt(105); "
+    "p^1_{1,1} = 149/10+431/210*sqrt(105); p^2_{1,1} = 159/10+53/42*sqrt(105); "
+    "p^1_{1,2} = 101/10-83/210*sqrt(105); p^2_{1,2} = 101/10+83/210*sqrt(105); "
+    "p^1_{2,1} = 101/10-83/210*sqrt(105); p^2_{2,1} = 101/10+83/210*sqrt(105); "
+    "p^0_{2,2} = 26-58/35*sqrt(105); p^1_{2,2} = 159/10-53/42*sqrt(105); "
+    "p^2_{2,2} = 149/10-431/210*sqrt(105)")
+FAILING_INTERSECTION_SPECS = {
+    "m = 5": (CASEV5, None, [
+        "[FAIL] intersection-integrality: p^1_{1,1} = 40/21; p^2_{1,1} = -20/63; "
+        "p^3_{1,1} = 4/7; p^4_{1,1} = -2/9; p^1_{1,2} = -20/63; p^2_{1,2} = -20/63; "
+        "p^3_{1,2} = 5/21; p^4_{1,2} = 10/9; p^5_{1,2} = 10/9; p^1_{1,3} = 20/7; "
+        "p^2_{1,3} = 25/21; p^3_{1,3} = 20/7; p^4_{1,3} = 10/3; p^1_{1,4} = -4/9; "
+        "p^2_{1,4} = 20/9; p^3_{1,4} = 4/3; p^4_{1,4} = 2/9; p^5_{1,4} = 5/9; "
+        "p^2_{1,5} = 20/9; p^4_{1,5} = 5/9; p^5_{1,5} = 10/3; p^1_{2,1} = -20/63; "
+        "p^2_{2,1} = -20/63; p^3_{2,1} = 5/21; p^4_{2,1} = 10/9; p^5_{2,1} = 10/9; "
+        "p^1_{2,2} = -20/63; p^2_{2,2} = 40/21; p^3_{2,2} = 4/7; p^5_{2,2} = -2/9; "
+        "p^1_{2,3} = 25/21; p^2_{2,3} = 20/7; p^3_{2,3} = 20/7; p^5_{2,3} = 10/3; "
+        "p^1_{2,4} = 20/9; p^4_{2,4} = 10/3; p^5_{2,4} = 5/9; p^1_{2,5} = 20/9; "
+        "p^2_{2,5} = -4/9; p^3_{2,5} = 4/3; p^4_{2,5} = 5/9; p^5_{2,5} = 2/9; "
+        "p^1_{3,1} = 20/7; p^2_{3,1} = 25/21; p^3_{3,1} = 20/7; p^4_{3,1} = 10/3; "
+        "p^1_{3,2} = 25/21; p^2_{3,2} = 20/7; p^3_{3,2} = 20/7; p^5_{3,2} = 10/3; "
+        "p^1_{3,3} = 100/7; p^2_{3,3} = 100/7; p^3_{3,3} = 72/7; p^1_{3,4} = 20/3; "
+        "p^5_{3,4} = 20/3; p^2_{3,5} = 20/3; p^4_{3,5} = 20/3; p^1_{4,1} = -4/9; "
+        "p^2_{4,1} = 20/9; p^3_{4,1} = 4/3; p^4_{4,1} = 2/9; p^5_{4,1} = 5/9; "
+        "p^1_{4,2} = 20/9; p^4_{4,2} = 10/3; p^5_{4,2} = 5/9; p^1_{4,3} = 20/3; "
+        "p^5_{4,3} = 20/3; p^1_{4,4} = 4/9; p^2_{4,4} = 20/3; p^4_{4,4} = -2/3; "
+        "p^5_{4,4} = 10/9; p^1_{4,5} = 10/9; p^2_{4,5} = 10/9; p^3_{4,5} = 8/3; "
+        "p^4_{4,5} = 10/9; p^5_{4,5} = 10/9; p^2_{5,1} = 20/9; p^4_{5,1} = 5/9; "
+        "p^5_{5,1} = 10/3; p^1_{5,2} = 20/9; p^2_{5,2} = -4/9; p^3_{5,2} = 4/3; "
+        "p^4_{5,2} = 5/9; p^5_{5,2} = 2/9; p^2_{5,3} = 20/3; p^4_{5,3} = 20/3; "
+        "p^1_{5,4} = 10/9; p^2_{5,4} = 10/9; p^3_{5,4} = 8/3; p^4_{5,4} = 10/9; "
+        "p^5_{5,4} = 10/9; p^1_{5,5} = 20/3; p^2_{5,5} = 4/9; p^4_{5,5} = 10/9; "
+        "p^5_{5,5} = -2/3",
+        "[pass] intersection-column-sums"]),
+    "Q(sqrt 105)": (R105, None, [R105_INTEGRALITY, "[pass] intersection-column-sums"]),
+    "Q(sqrt 105), k_1 and k_2 swapped": (R105, lambda k: (k[0], k[2], k[1]), [
+        R105_INTEGRALITY,
+        "[FAIL] intersection-column-sums: sum_j p^0_{1,j} = 26+58/35*sqrt(105) != k_1; "
+        "sum_j p^1_{1,j} = 26+58/35*sqrt(105) != k_1; sum_j p^2_{1,j} = 26+58/35*sqrt(105) != k_1; "
+        "sum_j p^0_{2,j} = 26-58/35*sqrt(105) != k_2; sum_j p^1_{2,j} = 26-58/35*sqrt(105) != k_2; "
+        "sum_j p^2_{2,j} = 26-58/35*sqrt(105) != k_2"]),
+    "pentagon, k = (1, 3, 1)": (C5, lambda k: (1, 3, 1), [
+        "[pass] intersection-integrality",
+        "[FAIL] intersection-column-sums: sum_j p^0_{1,j} = 2 != k_1; sum_j p^1_{1,j} = 2 != k_1; "
+        "sum_j p^2_{1,j} = 2 != k_1; sum_j p^0_{2,j} = 2 != k_2; sum_j p^1_{2,j} = 2 != k_2; "
+        "sum_j p^2_{2,j} = 2 != k_2"]),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_INTERSECTION_SPECS)
+def test_failing_intersection_checks_keep_their_witnesses(name):
+    spec, valencies, lines = FAILING_INTERSECTION_SPECS[name]
+    params = scheme_params(spec)
+    tensor, mats = intersection_tensor(params), intersection_tensor(params).mats
+    if valencies:  # valencies the column sums do not reach
+        params = params._replace(valencies=valencies(params.valencies))
+    assert _intersection_lines(params, tensor) == lines
+    assert tensor._mats is None  # only the witnesses were divided
+    _assert_integer_numerators(tensor)
+    _assert_levels_match_the_values(tensor, mats, params)
+
+
+@pytest.mark.parametrize("levels, line", [
+    # divisor -3: -6/-3 = 2 counts, 6/-3 = -2 and 4/-3 do not
+    ([([[-3, 0], [0, -9]], -3, None), ([[0, -21], [6, 4]], -3, None)],
+     "[FAIL] intersection-integrality: p^0_{1,1} = -2; p^1_{1,1} = -4/3"),
+    # divisor 7: -14/7 = -2 is an integer but negative
+    ([([[7, 0], [0, 21]], 7, None), ([[0, 21], [-14, 0]], 7, None)],
+     "[FAIL] intersection-integrality: p^0_{1,1} = -2"),
+    ([([[2, 0], [0, 6]], 2, None), ([[0, 6], [2, 4]], 2, None)],
+     "[pass] intersection-integrality"),
+])
+def test_integrality_is_read_from_the_numerators(levels, line):
+    # an integer multiple of the divisor with the divisor's sign counts
+    tensor = IntersectionTensor(levels=levels)
+    assert _intersection_lines(scheme_params(K4), tensor)[0] == line
+    assert tensor._mats is None
+
+
+def test_tridiagonal_from_tensor_divides_only_b1(monkeypatch):
+    # the oracle's Krein tensor is kept undivided; reading c*, a*, b* off
+    # B1* divides that one level of the 6-cube, (d+1)^2 = 49 entries
+    kreins = scheme_from_relations(named_scheme("hypercube", 6)).kreins
+    sizes = []
+    divided = asx.scheme._divided
+
+    def spy(p, div, packing):
+        sizes.append(len(p) * len(p[0]))
+        return divided(p, div, packing)
+
+    monkeypatch.setattr(asx.scheme, "_divided", spy)
+    assert tridiagonal_from_tensor(kreins) == hamming(6, 2)
+    assert sizes == [49]
+    assert kreins._mats is None
 
 
 def test_one_variable_ladder_runs_on_packed_ints(monkeypatch):
