@@ -1,14 +1,14 @@
 """Compare the ``asx`` command line of two checkouts on seeded params files.
 
-    python tests/tools/cli_differential.py BASE HEAD [--seed N] [--rational N] [--quadratic N]
+    python tests/tools/cli_differential.py BASE HEAD
 
 BASE and HEAD are checkout roots, each with ``src/asx``.  The script writes
-a seeded set of params files to a temporary directory:
+a fixed seeded set of params files to a temporary directory:
 
-* rational arrays with d = 2..4 (half of them d = 2) whose columns all sum
+* 400 rational arrays with d = 2..4 (half of them d = 2) whose columns all sum
   to b0*;
 * the Hamming arrays H(d, q), d = 1..6 and q = 2..5;
-* arrays over Q(sqrt D) whose columns all sum to b0*;
+* 100 arrays over Q(sqrt D) whose columns all sum to b0*;
 * ``demos/casev-m5.params`` from HEAD.
 
 Each checkout then runs, in a process of its own with its own ``src`` first
@@ -22,7 +22,6 @@ only; it is not a pytest module.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -35,6 +34,7 @@ from pathlib import Path
 
 SMALL = [Fraction(n, q) for q in (1, 2, 3) for n in range(1, 7)]
 RADICANDS = (2, 3, 5, 6, 7, 10, 21)
+SEED, RATIONAL, QUADRATIC = 1, 400, 100
 
 
 def _params(d: int, field: str, c, a, b) -> str:
@@ -81,19 +81,19 @@ def _quadratic_array(rng: random.Random) -> str:
                                                 for xs in (c, a, b)))
 
 
-def params_files(seed: int, rational: int, quadratic: int, head: Path) -> dict[str, str]:
+def params_files(head: Path) -> dict[str, str]:
     """The params files by name, in a fixed order."""
-    rng = random.Random(seed)
-    files = {f"rational-{k}": _rational_array(rng) for k in range(rational)}
+    rng = random.Random(SEED)
+    files = {f"rational-{k}": _rational_array(rng) for k in range(RATIONAL)}
     files |= {f"H({d},{q})": _hamming(d, q) for d in range(1, 7) for q in range(2, 6)}
-    files |= {f"quadratic-{k}": _quadratic_array(rng) for k in range(quadratic)}
+    files |= {f"quadratic-{k}": _quadratic_array(rng) for k in range(QUADRATIC)}
     files["casev-m5"] = (head / "demos" / "casev-m5.params").read_text()
     return files
 
 
-def calls(seed: int, paths: dict[str, Path]) -> list[list[str]]:
+def calls(paths: dict[str, Path]) -> list[list[str]]:
     """``check`` in text and JSON, ``orderings`` and two ``fuse`` calls per file."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     out = []
     for name, path in paths.items():
         d = int(next(ln for ln in path.read_text().splitlines() if ln.startswith("d:"))[2:])
@@ -127,26 +127,18 @@ def run_side(src: str, calls_path: str) -> None:
     print(json.dumps(results))
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", type=Path)
-    parser.add_argument("head", type=Path)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rational", type=int, default=400)
-    parser.add_argument("--quadratic", type=int, default=100)
-    args = parser.parse_args()
+def main(base: Path, head: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = {}
-        for k, (name, text) in enumerate(params_files(args.seed, args.rational, args.quadratic,
-                                                      args.head).items()):
+        for k, (name, text) in enumerate(params_files(head).items()):
             paths[name] = tmp / f"{k:04d}.params"
             paths[name].write_text(text)
-        argvs = calls(args.seed, paths)
+        argvs = calls(paths)
         calls_path = tmp / "calls.json"
         calls_path.write_text(json.dumps(argvs))
         sides = []
-        for root in (args.base, args.head):
+        for root in (base, head):
             proc = subprocess.run(
                 [sys.executable, __file__, "--side", str(root.resolve() / "src"), str(calls_path)],
                 capture_output=True, text=True, check=False)
@@ -172,5 +164,7 @@ def main() -> int:
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--side":
         run_side(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 3:
+        sys.exit(main(Path(sys.argv[1]), Path(sys.argv[2])))
     else:
-        sys.exit(main())
+        sys.exit(__doc__.split("\n\n")[1])
